@@ -8,8 +8,7 @@ two displayed upper bounds on E[e] in natural-log space, estimates e by
 seeded Monte Carlo, and sweeps graph families into CSV records.
 
 Everything is deterministic per master seed: per-trial and per-cell
-seeds are derived by hashing, and aggregation follows index order no
-matter how many workers run.
+seeds are derived by hashing, and results keep index order.
 """
 
 from __future__ import annotations
@@ -17,15 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import ConfigError, HitlabError, PreconditionError, VerificationFailure
+from .errors import ConfigError, HitlabError, InfeasibleParamsError, PreconditionError, VerificationFailure
 from .graph import (
     Graph,
     VertexSet,
@@ -40,6 +37,7 @@ from .graph import (
 )
 from .hitting import (
     MODE_SAMPLED_CORE,
+    AsymptoticSchedule,
     ParamSchedule,
     asymptotic_schedule,
     auto_bins,
@@ -56,15 +54,6 @@ from .mis import alpha_with_witness
 
 CSV_HEADER = "schema,family,n,seed,alpha,h_exact,t_bet,t_trivial,e_observed,runtime_ms"
 CSV_SCHEMA = "1"
-
-
-def worker_count() -> int:
-    """Worker cap from HITLAB_THREADS; 1 (sequential) when unset."""
-    raw = os.environ.get("HITLAB_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def derive_seed(master: int, index: int, label: str = "") -> int:
@@ -124,7 +113,9 @@ def _logsumexp(vals: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in vals))
 
 
-def analytic_e_bound(n: int, c: float, sched: ParamSchedule, j: int) -> tuple[float, float]:
+def analytic_e_bound(
+    n: int, c: float, sched: ParamSchedule | AsymptoticSchedule, j: int
+) -> tuple[float, float]:
     """The two E[e] upper bounds for bin j, as natural logs.
 
     a_s bounds the low-degree side: theta_lo * (1-c) * n.  a_l bounds the
@@ -139,7 +130,7 @@ def analytic_e_bound(n: int, c: float, sched: ParamSchedule, j: int) -> tuple[fl
     s = sched.s
     ln_n = math.log(n)
     ln_1c = _ln(1.0 - c)
-    if sched.asymptotic:
+    if isinstance(sched, AsymptoticSchedule):
         log_lo, log_hi = sched.log_bins[j - 1]
         log_k = sched.log_ks[j - 1]
         a_s = log_lo + ln_1c + ln_n
@@ -197,25 +188,17 @@ def monte_carlo_e(
     """Sample I_j `trials` times and measure e each time.
 
     Per-trial seeds are derived from the master seed, and samples keep
-    trial order, so the aggregate is identical no matter how many
-    workers HITLAB_THREADS grants.
+    trial order.
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
     _, s_j = bin_and_select(g, i_set, sched)
     base = i_set.bits | s_j.bits
-
-    def one(idx: int) -> int:
+    samples = []
+    for idx in range(trials):
         i_j = sample_Ij(i_set, sched.k, derive_seed(seed, idx, "mc-e"))
         k_set = build_K(g, i_j, sched.s, sched.t)
-        return _residual_edge_count(g, i_set.bits, base | k_set.bits)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(one, range(trials)))
-    else:
-        samples = [one(idx) for idx in range(trials)]
+        samples.append(_residual_edge_count(g, i_set.bits, base | k_set.bits))
     mean = sum(samples) / trials
     std_error = statistics.stdev(samples) / math.sqrt(trials) if trials > 1 else 0.0
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
@@ -291,15 +274,19 @@ def load_config(source) -> ExperimentConfig:
     schedule = raw.get("schedule", {"mode": "auto", "s": 2, "t": 2, "k": 2})
     if not isinstance(schedule, dict):
         raise ConfigError("schedule must be an object")
-    caps = dict(_DEFAULT_CAPS)
-    caps.update(raw.get("caps", {}))
-    return ExperimentConfig(
-        families=tuple(families),
-        n_values=tuple(int(n) for n in raw.get("n_values", [])),
-        seeds=tuple(int(s) for s in raw.get("seeds", [])),
-        schedule=dict(schedule),
-        caps=caps,
-    )
+    caps = raw.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ConfigError("caps must be an object")
+    try:
+        return ExperimentConfig(
+            families=tuple(families),
+            n_values=tuple(int(n) for n in raw.get("n_values", [])),
+            seeds=tuple(int(s) for s in raw.get("seeds", [])),
+            schedule=dict(schedule),
+            caps={**_DEFAULT_CAPS, **{key: int(v) for key, v in caps.items()}},
+        )
+    except (TypeError, ValueError):
+        raise ConfigError("n_values, seeds and caps must hold integers") from None
 
 
 def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, int], Graph]]:
@@ -341,13 +328,15 @@ def resolve_schedule(g: Graph, raw: dict) -> ParamSchedule:
     mode explicit: bins given as [lo, hi] pairs.  mode auto: unit bins
     from auto_bins, delta defaulting to (min_deg + 0.5)/n so the run
     stays on the sampled-core branch.  mode asymptotic: the textbook
-    point (construction will refuse it).
+    point, which has no concrete bins, so InfeasibleParamsError.
     """
     mode = raw.get("mode", "explicit")
     s = int(raw.get("s", 2))
     t = int(raw.get("t", 2))
     if mode == "asymptotic":
-        return asymptotic_schedule(g.n, s, t, float(raw.get("delta", 0.5)))
+        report = asymptotic_schedule(g.n, s, t, float(raw.get("delta", 0.5)))
+        why = "is informational only" if report.feasible else "infeasible at this n"
+        raise InfeasibleParamsError(f"asymptotic schedule {why}; supply explicit bins")
     k = int(raw.get("k", 2))
     if mode == "auto":
         if "delta" in raw:
@@ -413,9 +402,8 @@ def _run_cell(label, builder, n, seed, schedule_raw, caps) -> ExperimentRecord:
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (family, n, seed) cell, in deterministic cell order.
 
-    Cells run concurrently up to HITLAB_THREADS but are collected in
-    index order.  Per-cell failures are recorded; a verification failure
-    aborts the whole run with the offending certificate in the message.
+    Per-cell failures are recorded; a verification failure aborts the
+    whole run with the offending certificate in the message.
     """
     cells = []
     for family in config.families:
@@ -424,12 +412,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         for n in n_list:
             for seed in config.seeds:
                 cells.append((label, builder, n, seed))
-    runner = lambda cell: _run_cell(cell[0], cell[1], cell[2], cell[3], config.schedule, config.caps)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(runner, cells))
-    return [runner(cell) for cell in cells]
+    return [_run_cell(*cell, config.schedule, config.caps) for cell in cells]
 
 
 def _cell_text(v) -> str:

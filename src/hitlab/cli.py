@@ -48,7 +48,7 @@ from .hitting import (
     validate_certificate,
     verify_hitting_set,
 )
-from .io import format_dimacs, format_edge_list, load_graph
+from .io import format_dimacs, format_edge_list, load_graph, read_text
 from .mis import ENUM_CAP_DEFAULT, alpha_with_witness, enumerate_mis, kernel
 
 
@@ -104,8 +104,11 @@ def _parse_id_list(raw: str, n: int) -> VertexSet:
 
 def _write_or_print(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise _UsageError(f"cannot write {out_path}: {ex.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -119,7 +122,10 @@ def _cmd_gen(args) -> int:
     if fam == "cluster":
         if not args.sizes:
             raise _UsageError("gen --family cluster needs --sizes")
-        sizes = [int(tok) for tok in args.sizes.replace(",", " ").split()]
+        try:
+            sizes = [int(tok) for tok in args.sizes.replace(",", " ").split()]
+        except ValueError:
+            raise _UsageError(f"--sizes expects integer clique sizes, got {args.sizes!r}") from None
         g = gen_cluster(sizes)
     elif fam == "gnp":
         if args.n is None or args.p is None:
@@ -193,8 +199,7 @@ def _cmd_verify(args) -> int:
     if (args.cert is None) == (args.set is None):
         raise _UsageError("verify needs exactly one of --cert or --set")
     if args.cert is not None:
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            cert = certificate_from_text(fh.read(), path=args.cert)
+        cert = certificate_from_text(read_text(args.cert), path=args.cert)
         validate_certificate(g, cert)
         t_set = cert.T
     else:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FreenessViolationError, GraphFormatError, PreconditionError
+from .errors import FreenessViolationError, PreconditionError
 from .graph import Graph, InducedEmbedding, VertexSet, iter_bits
+from .io import FLOAT, INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record, read_vertex
 
 BRANCH_CODEGREE = "codegree"
 BRANCH_ARGMAX = "argmax"
@@ -195,55 +196,28 @@ def matching_audit(trace: DrcTrace) -> bool:
 # ---------------------------------------------------------------------------
 # text form
 
-_TRACE_KEYS = ("branch", "n", "x", "U", "Y", "Z", "matching", "clique", "beta", "alpha_density")
+def _read_matching(text: str, n: int) -> tuple[tuple[int, int], ...]:
+    pairs = (tok.partition("-") for tok in text.split())
+    return tuple((read_vertex(p, n), read_vertex(q, n)) for p, _, q in pairs)
+
+
+_TRACE_FIELDS = {
+    "branch": TEXT,
+    "n": INT,
+    "x": VERTEX,
+    "U": VERTICES,
+    "Y": INT,
+    "Z": optional((str, lambda text, n: Fraction(text))),
+    "matching": (lambda matching: " ".join(f"{p}-{q}" for p, q in matching), _read_matching),
+    "clique": VERTICES,
+    "beta": FLOAT,
+    "alpha_density": FLOAT,
+}
 
 
 def trace_to_text(trace: DrcTrace) -> str:
-    vals = {
-        "branch": trace.branch,
-        "n": str(trace.n),
-        "x": str(trace.x),
-        "U": " ".join(str(v) for v in trace.U.members()),
-        "Y": str(trace.Y),
-        "Z": "" if trace.Z is None else str(trace.Z),
-        "matching": " ".join(f"{p}-{q}" for p, q in trace.matching),
-        "clique": " ".join(str(v) for v in trace.clique.members()),
-        "beta": repr(trace.beta),
-        "alpha_density": repr(trace.alpha_density),
-    }
-    return "\n".join(f"{key}: {vals[key]}".rstrip() for key in _TRACE_KEYS) + "\n"
+    return format_record(trace, _TRACE_FIELDS)
 
 
 def trace_from_text(text: str, path: Optional[str] = None) -> DrcTrace:
-    got: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise GraphFormatError(f"expected 'key: value', got {raw!r}", path=path, line=line_no)
-        key, _, val = line.partition(":")
-        got[key.strip()] = val.strip()
-    missing = [k for k in _TRACE_KEYS if k not in got]
-    if missing:
-        raise GraphFormatError(f"trace missing keys: {', '.join(missing)}", path=path)
-    try:
-        n = int(got["n"])
-        pairs = []
-        for tok in got["matching"].split():
-            p, _, q = tok.partition("-")
-            pairs.append((int(p), int(q)))
-        return DrcTrace(
-            branch=got["branch"],
-            n=n,
-            x=int(got["x"]),
-            U=VertexSet.of(n, (int(v) for v in got["U"].split())),
-            Y=int(got["Y"]),
-            Z=Fraction(got["Z"]) if got["Z"] else None,
-            matching=tuple(pairs),
-            clique=VertexSet.of(n, (int(v) for v in got["clique"].split())),
-            beta=float(got["beta"]),
-            alpha_density=float(got["alpha_density"]),
-        )
-    except ValueError:
-        raise GraphFormatError("malformed trace field", path=path) from None
+    return DrcTrace(**parse_record(text, _TRACE_FIELDS, "trace", path))

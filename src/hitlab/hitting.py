@@ -25,12 +25,12 @@ from typing import Optional
 
 from .errors import (
     FreenessViolationError,
-    GraphFormatError,
     InfeasibleParamsError,
     PreconditionError,
     VerificationFailure,
 )
 from .graph import Graph, InducedEmbedding, VertexSet, find_independent_subset, iter_bits, min_degree_vertex
+from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
 from .mis import ENUM_CAP_DEFAULT, alpha_with_witness, enumerate_mis, independence_check
 
 MODE_LOW_DEGREE = "low-degree"
@@ -43,23 +43,15 @@ MODE_TRIVIAL = "trivial"
 class ParamSchedule:
     """Tunable constants of the construction.
 
-    Concrete schedules carry absolute degree bins (half-open [lo, hi),
-    ordered from the heaviest interval down, pairwise disjoint) and one
-    sample size k.  Asymptotic schedules instead carry per-bin natural-log
-    values (log_bins, log_ks) and are informational: `feasible` says
-    whether the textbook parameter values fit inside [1, n] at all.
+    Absolute degree bins (half-open [lo, hi), ordered from the heaviest
+    interval down, pairwise disjoint) and one sample size k.
     """
 
     s: int
     t: int
     delta: float
-    k: int = 0
-    bins: tuple[tuple[float, float], ...] = ()
-    c: Optional[float] = None
-    asymptotic: bool = False
-    feasible: bool = True
-    log_bins: Optional[tuple[tuple[float, float], ...]] = None
-    log_ks: Optional[tuple[float, ...]] = None
+    k: int
+    bins: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if not (isinstance(self.s, int) and isinstance(self.t, int)):
@@ -68,12 +60,6 @@ class ParamSchedule:
             raise PreconditionError(f"need 1 <= s <= t, got s={self.s}, t={self.t}")
         if not 0.0 < self.delta < 1.0:
             raise PreconditionError(f"delta must lie in (0,1), got {self.delta}")
-        if self.c is not None and not 0.0 < self.c <= 1.0:
-            raise PreconditionError(f"c must lie in (0,1], got {self.c}")
-        if self.asymptotic:
-            if not self.log_bins or not self.log_ks or len(self.log_bins) != len(self.log_ks):
-                raise PreconditionError("asymptotic schedule needs matching log_bins/log_ks")
-            return
         if self.k < self.s:
             raise PreconditionError(f"k={self.k} below s={self.s}: no s-subsets to sample")
         bins = tuple((float(lo), float(hi)) for lo, hi in self.bins)
@@ -97,7 +83,28 @@ class ParamSchedule:
 
     @property
     def num_bins(self) -> int:
-        return len(self.log_bins) if self.asymptotic else len(self.bins)
+        return len(self.bins)
+
+
+@dataclass(frozen=True)
+class AsymptoticSchedule:
+    """The textbook parameter point, reported in natural-log space.
+
+    Per-bin log degree bounds (log_bins) and log sample sizes (log_ks);
+    `feasible` says whether the values fit inside [1, n] at all.  A
+    report only: the construction runs on a ParamSchedule.
+    """
+
+    s: int
+    t: int
+    delta: float
+    feasible: bool
+    log_bins: tuple[tuple[float, float], ...]
+    log_ks: tuple[float, ...]
+
+    @property
+    def num_bins(self) -> int:
+        return len(self.log_bins)
 
 
 def auto_bins(delta: float) -> tuple[tuple[float, float], ...]:
@@ -119,13 +126,12 @@ def _pow_or_inf(base: float, exp: int) -> float:
         return math.inf
 
 
-def asymptotic_schedule(n: int, s: int, t: int, delta: float) -> ParamSchedule:
+def asymptotic_schedule(n: int, s: int, t: int, delta: float) -> AsymptoticSchedule:
     """The textbook parameter point, evaluated in natural-log space.
 
     Bin j of ceil(2/delta) covers degrees [n*(ln n)^-(10s)^(2j+1),
     n*(ln n)^-(10s)^(2j-1)) with sample size k_j = (ln n)^((10s)^(2j)).
-    At desk scale k_1 already dwarfs n, so `feasible` is false and the
-    schedule is a report, not a runnable input.
+    At desk scale k_1 already dwarfs n, so `feasible` is false.
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
@@ -148,14 +154,8 @@ def asymptotic_schedule(n: int, s: int, t: int, delta: float) -> ParamSchedule:
         log_bins.append((log_lo, log_hi))
         if log_lo < 0.0 or log_k > ln_n:
             feasible = False
-    return ParamSchedule(
-        s=s,
-        t=t,
-        delta=delta,
-        asymptotic=True,
-        feasible=feasible,
-        log_bins=tuple(log_bins),
-        log_ks=tuple(log_ks),
+    return AsymptoticSchedule(
+        s=s, t=t, delta=delta, feasible=feasible, log_bins=tuple(log_bins), log_ks=tuple(log_ks)
     )
 
 
@@ -209,8 +209,6 @@ def bin_and_select(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> tuple[in
     """Assign each outside vertex to the bin holding its I-degree, then
     return the 1-based index and content of the lightest bin (ties to the
     smallest index).  The winner's size is at most (n-|I|)/#bins."""
-    if sched.asymptotic:
-        raise PreconditionError("asymptotic schedule has no concrete bins")
     masks = [0] * len(sched.bins)
     outside = ((1 << g.n) - 1) & ~i_set.bits
     for v in iter_bits(outside):
@@ -290,14 +288,6 @@ def construct_hitting_set(
     set for every seed; freeness violations and h_size > alpha surface as
     errors (or as the explicit T = V fallback when allow_trivial is set).
     """
-    if sched.asymptotic:
-        if not sched.feasible:
-            raise InfeasibleParamsError(
-                "asymptotic schedule infeasible at this n; supply explicit bins"
-            )
-        raise InfeasibleParamsError(
-            "asymptotic schedule is informational only; supply explicit bins"
-        )
     v, d = min_degree_vertex(g)
     if d < sched.delta * g.n - 1:
         return closed_neighborhood_hitting(g, v, seed=seed)
@@ -569,100 +559,43 @@ def size_bound_check(cert: HittingCertificate, sched: ParamSchedule, e_observed:
 # ---------------------------------------------------------------------------
 # certificate text form and replay
 
-_CERT_KEYS = (
-    "mode",
-    "n",
-    "seed",
-    "center",
-    "bin_index",
-    "I",
-    "S_j",
-    "I_j",
-    "K",
-    "H",
-    "NH",
-    "T",
-    "size_accounting",
-)
+def _read_counts(text: str, n: int) -> tuple[int, int, int]:
+    h, nh, s_j = (int(tok) for tok in text.split())
+    return h, nh, s_j
 
 
-def _ids_text(vs: VertexSet) -> str:
-    return " ".join(str(v) for v in vs.members())
+_CERT_FIELDS = {
+    "mode": TEXT,
+    "n": INT,
+    "seed": optional(INT),
+    "center": optional(VERTEX),
+    "bin_index": INT,
+    "I": VERTICES,
+    "S_j": VERTICES,
+    "I_j": VERTICES,
+    "K": VERTICES,
+    "H": VERTICES,
+    "NH": VERTICES,
+    "T": VERTICES,
+    "size_accounting": (lambda acct: " ".join(str(x) for x in acct), _read_counts),
+}
 
 
 def certificate_to_text(cert: HittingCertificate) -> str:
-    vals = {
-        "mode": cert.mode,
-        "n": str(cert.n),
-        "seed": "" if cert.seed is None else str(cert.seed),
-        "center": "" if cert.center is None else str(cert.center),
-        "bin_index": str(cert.bin_index),
-        "I": _ids_text(cert.I),
-        "S_j": _ids_text(cert.S_j),
-        "I_j": _ids_text(cert.I_j),
-        "K": _ids_text(cert.K),
-        "H": _ids_text(cert.H),
-        "NH": _ids_text(cert.NH),
-        "T": _ids_text(cert.T),
-        "size_accounting": " ".join(str(x) for x in cert.size_accounting),
-    }
-    return "\n".join(f"{key}: {vals[key]}".rstrip() for key in _CERT_KEYS) + "\n"
+    return format_record(cert, _CERT_FIELDS)
 
 
 def certificate_from_text(text: str, path: Optional[str] = None) -> HittingCertificate:
-    got: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise GraphFormatError(f"expected 'key: value', got {raw!r}", path=path, line=line_no)
-        key, _, val = line.partition(":")
-        key = key.strip()
-        if key not in _CERT_KEYS:
-            raise GraphFormatError(f"unknown certificate key {key!r}", path=path, line=line_no)
-        if key in got:
-            raise GraphFormatError(f"duplicate certificate key {key!r}", path=path, line=line_no)
-        got[key] = val.strip()
-    missing = [k for k in _CERT_KEYS if k not in got]
-    if missing:
-        raise GraphFormatError(f"certificate missing keys: {', '.join(missing)}", path=path)
-
-    def ints(key: str) -> list[int]:
-        try:
-            return [int(tok) for tok in got[key].split()]
-        except ValueError:
-            raise GraphFormatError(f"bad integer list for {key!r}", path=path) from None
-
-    try:
-        n = int(got["n"])
-    except ValueError:
-        raise GraphFormatError("bad vertex count", path=path) from None
-    acct = ints("size_accounting")
-    if len(acct) != 3:
-        raise GraphFormatError("size_accounting needs three counts", path=path)
-    return HittingCertificate(
-        mode=got["mode"],
-        n=n,
-        seed=int(got["seed"]) if got["seed"] else None,
-        center=int(got["center"]) if got["center"] else None,
-        bin_index=int(got["bin_index"]),
-        I=VertexSet.of(n, ints("I")),
-        S_j=VertexSet.of(n, ints("S_j")),
-        I_j=VertexSet.of(n, ints("I_j")),
-        K=VertexSet.of(n, ints("K")),
-        H=VertexSet.of(n, ints("H")),
-        NH=VertexSet.of(n, ints("NH")),
-        T=VertexSet.of(n, ints("T")),
-        size_accounting=(acct[0], acct[1], acct[2]),
-    )
+    return HittingCertificate(**parse_record(text, _CERT_FIELDS, "certificate", path))
 
 
 def validate_certificate(g: Graph, cert: HittingCertificate, sched: Optional[ParamSchedule] = None) -> None:
     """Structural re-check of a certificate against its graph.
 
     Raises VerificationFailure on the first broken invariant; passing a
-    schedule additionally pins |H|, |I_j|, and the bin membership of S_j.
+    schedule additionally pins |H|, |I_j|, the bin membership of S_j and
+    K, rebuilt by build_K (so an induced K_{s,t} it meets raises
+    FreenessViolationError).
     """
 
     def fail(msg: str):
@@ -717,11 +650,7 @@ def validate_certificate(g: Graph, cert: HittingCertificate, sched: Optional[Par
             d = (g.adj[v] & cert.I.bits).bit_count()
             if not lo <= d < hi:
                 fail(f"vertex {v} with I-degree {d} outside bin [{lo},{hi})")
-        k_expect = 0
-        for v in range(g.n):
-            if (g.adj[v] & cert.I_j.bits).bit_count() >= sched.s:
-                k_expect |= 1 << v
-        if cert.K.bits != k_expect:
+        if cert.K != build_K(g, cert.I_j, sched.s, sched.t):
             fail("K differs from the common-neighborhood union of I_j")
 
 

@@ -15,15 +15,17 @@ DIMACS (1-indexed, 'c' comments):
 Readers collapse duplicate edges, reject self-loops and out-of-range ids
 with file:line positions, and require exactly m edge lines.  Writers emit
 canonical sorted output so write -> read -> write is byte-stable.
+
+Certificates and DRC traces share one `key: value` record form, written
+by format_record and read strictly by parse_record.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .errors import GraphFormatError, VertexRangeError
-from .graph import Graph
+from .graph import Graph, VertexSet
 
 
 def _parse_int(tok: str, what: str, path, line_no: int) -> int:
@@ -179,11 +181,19 @@ def sniff_format(text: str) -> str:
     return "edgelist"
 
 
+def read_text(path: str) -> str:
+    """Whole file as text; an unreadable file is a GraphFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise GraphFormatError("no such file", path=path) from None
+    except (OSError, UnicodeDecodeError) as ex:
+        raise GraphFormatError(f"cannot read: {ex}", path=path) from None
+
+
 def load_graph(path: str, fmt: str = "auto") -> Graph:
-    if not os.path.exists(path):
-        raise GraphFormatError("no such file", path=path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if fmt == "auto":
         fmt = sniff_format(text)
     if fmt == "dimacs":
@@ -202,3 +212,77 @@ def save_graph(g: Graph, path: str, fmt: str = "edgelist", comment=None) -> None
         raise GraphFormatError(f"unknown format {fmt!r}", path=path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+# ---------------------------------------------------------------------------
+# key: value records
+#
+# A record type maps each key, in output order, to a (write, read) pair:
+# write(value) is the text after "key: ", and read(text, n) parses it
+# back, raising ValueError on bad text.  n is the record's own vertex
+# count, read from its `n` key, which precedes every vertex field.
+
+Codec = tuple[Callable[[Any], str], Callable[[str, int], Any]]
+
+
+def read_vertex(text: str, n: int) -> int:
+    v = int(text)
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} outside 0..{n - 1}")
+    return v
+
+
+def optional(codec: Codec) -> Codec:
+    """The same value or None, written blank."""
+    write, read = codec
+    return (lambda v: "" if v is None else write(v)), (lambda text, n: read(text, n) if text else None)
+
+
+TEXT: Codec = (str, lambda text, n: text)
+INT: Codec = (str, lambda text, n: int(text))
+FLOAT: Codec = (repr, lambda text, n: float(text))
+VERTEX: Codec = (str, read_vertex)
+VERTICES: Codec = (
+    lambda vs: " ".join(str(v) for v in vs.members()),
+    lambda text, n: VertexSet.of(n, [read_vertex(tok, n) for tok in text.split()]),
+)
+
+
+def format_record(obj, fields: dict[str, Codec]) -> str:
+    """One `key: value` line per key of `fields`, the value read off obj."""
+    lines = (f"{key}: {write(getattr(obj, key))}".rstrip() for key, (write, _) in fields.items())
+    return "\n".join(lines) + "\n"
+
+
+def parse_record(
+    text: str, fields: dict[str, Codec], kind: str, path: Optional[str] = None
+) -> dict[str, Any]:
+    """Field values of a record, read strictly.
+
+    Each key must appear exactly once and no other key may; blank lines
+    are skipped.  A bad value, such as a vertex id outside 0..n-1, is a
+    GraphFormatError like a bad line.
+    """
+    got: dict[str, str] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        key, sep, val = raw.partition(":")
+        key = key.strip()
+        if not sep:
+            raise GraphFormatError(f"expected 'key: value', got {raw!r}", path=path, line=line_no)
+        if key not in fields:
+            raise GraphFormatError(f"unknown {kind} key {key!r}", path=path, line=line_no)
+        if key in got:
+            raise GraphFormatError(f"duplicate {kind} key {key!r}", path=path, line=line_no)
+        got[key] = val.strip()
+    missing = [k for k in fields if k not in got]
+    if missing:
+        raise GraphFormatError(f"{kind} missing keys: {', '.join(missing)}", path=path)
+    values: dict[str, Any] = {}
+    for key, (_, read) in fields.items():
+        try:
+            values[key] = read(got[key], values.get("n", 0))
+        except (ValueError, ArithmeticError) as ex:
+            raise GraphFormatError(f"bad {key!r} value: {ex}", path=path) from None
+    return values

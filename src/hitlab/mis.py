@@ -98,30 +98,37 @@ def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
     state = [best_size, best_bits]
 
     def rec(pool: int, acc_bits: int, acc_size: int) -> None:
-        if acc_size + pool.bit_count() <= state[0]:
-            return
-        if pool == 0:
-            state[0], state[1] = acc_size, acc_bits
-            return
-        v_branch, d_branch = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            pd = (adj[v] & pool).bit_count()
+        # forced inclusions and the exclude branch loop, so the depth is
+        # the number of open include branches, not of vertices taken
+        while True:
+            if acc_size + pool.bit_count() <= state[0]:
+                return
+            if pool == 0:
+                state[0], state[1] = acc_size, acc_bits
+                return
+            v_branch, d_branch = -1, -1
+            m = pool
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                pd = (adj[v] & pool).bit_count()
+                if pd <= 1:
+                    break
+                if pd > d_branch:
+                    v_branch, d_branch = v, pd
             if pd <= 1:
                 # v plus a non-neighbor of its at most one pool neighbor
                 # is never worse than skipping v
-                rec((pool & ~adj[v]) ^ low, acc_bits | low, acc_size + 1)
+                pool = (pool & ~adj[v]) ^ low
+                acc_bits |= low
+                acc_size += 1
+                continue
+            if acc_size + _clique_cover_bound(adj, pool) <= state[0]:
                 return
-            if pd > d_branch:
-                v_branch, d_branch = v, pd
-        if acc_size + _clique_cover_bound(adj, pool) <= state[0]:
-            return
-        bit = 1 << v_branch
-        rec(pool & ~adj[v_branch] & ~bit, acc_bits | bit, acc_size + 1)
-        rec(pool ^ bit, acc_bits, acc_size)
+            bit = 1 << v_branch
+            rec(pool & ~adj[v_branch] & ~bit, acc_bits | bit, acc_size + 1)
+            pool ^= bit
 
     rec((1 << g.n) - 1, 0, 0)
     return state[0], VertexSet(g.n, state[1])

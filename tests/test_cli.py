@@ -444,3 +444,48 @@ class TestExperiment:
         code, _, err = cli(capsys, "experiment", "--config", str(tmp_path / "none.json"))
         assert code == 1
         assert err.startswith("error:config:")
+
+
+C5_CERT = certificate_to_text(
+    construct_hitting_set(
+        gen_cycle(5),
+        resolve_schedule(gen_cycle(5), {"mode": "explicit", "delta": 0.5, "bins": [[1.0, 2.0]]}),
+        7,
+    )
+)
+
+
+def _cert_with(key, value):
+    lines = [f"{key}: {value}" if line.split(":")[0] == key else line for line in C5_CERT.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["verify", "--graph", "{c5}", "--cert", "{dir}/absent.cert"], {}),
+        (["verify", "--graph", "{c5}", "--cert", "{dir}/x.cert"], {"x.cert": _cert_with("T", "-1 1 4")}),
+        (["verify", "--graph", "{c5}", "--cert", "{dir}/x.cert"], {"x.cert": _cert_with("T", "1 9")}),
+        (["verify", "--graph", "{c5}", "--cert", "{dir}/x.cert"], {"x.cert": _cert_with("center", "9")}),
+        (["verify", "--graph", "{c5}", "--cert", "{dir}/x.cert"], {"x.cert": _cert_with("seed", "x")}),
+        (["verify", "--graph", "{c5}", "--cert", "{dir}/x.cert"], {"x.cert": _cert_with("n", "-5")}),
+        (["verify", "--graph", "{c5}", "--cert", "{dir}"], {}),
+        (["hit", "--graph", "{c5}", "--theta", "1:2", "--delta", "0.5", "--out", "{dir}/no/such/dir/x"], {}),
+        (["gen", "--family", "cluster", "--sizes", "3,x"], {}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": ["abc"]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"enum_n": "x"}}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": [1]}'}),
+    ],
+    ids=[
+        "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
+        "cert-is-dir", "unwritable-out", "sizes-not-int", "n-values-not-int", "cap-not-int", "caps-not-object",
+    ],
+)
+def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(c5=c5_path, dir=tmp_path) for arg in argv]
+    code, _, err = cli(capsys, *argv)
+    assert code in {1, 2, 3, 4}
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -194,3 +194,10 @@ class TestTraceText:
             trace_from_text("branch: argmax\n")
         with pytest.raises(GraphFormatError, match="key: value"):
             trace_from_text("nonsense line\n")
+        text = trace_to_text(drc_clique(gen_book(5), alpha_density=density(gen_book(5))))
+        with pytest.raises(GraphFormatError, match="unknown trace key"):
+            trace_from_text(text + "extra: 1\n")
+        with pytest.raises(GraphFormatError, match="duplicate trace key"):
+            trace_from_text(text + "x: 0\n")
+        with pytest.raises(GraphFormatError, match="outside 0..6"):
+            trace_from_text(text.replace("x: ", "x: 9"))

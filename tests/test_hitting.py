@@ -19,6 +19,7 @@ from hitlab.hitting import (
     MODE_LOW_DEGREE,
     MODE_SAMPLED_CORE,
     MODE_TRIVIAL,
+    HittingCertificate,
     ParamSchedule,
     asymptotic_schedule,
     auto_bins,
@@ -66,8 +67,6 @@ class TestParamSchedule:
         for delta in (0.0, 1.0, -0.3):
             with pytest.raises(PreconditionError):
                 simple_sched(delta=delta)
-        with pytest.raises(PreconditionError):
-            simple_sched(c=0.0)
 
     def test_rejects_k_below_s(self):
         with pytest.raises(PreconditionError):
@@ -104,7 +103,7 @@ class TestAsymptoticSchedule:
     def test_desk_scale_is_never_feasible(self):
         for n in (10, 1000, 10**6, 10**9):
             sched = asymptotic_schedule(n, 2, 2, 0.5)
-            assert sched.asymptotic and not sched.feasible
+            assert not sched.feasible
             assert sched.num_bins == 4
             assert len(sched.log_ks) == 4
 
@@ -128,18 +127,6 @@ class TestAsymptoticSchedule:
             asymptotic_schedule(2, 2, 2, 0.5)
         with pytest.raises(PreconditionError):
             asymptotic_schedule(100, 2, 2, 1.0)
-
-    def test_construct_always_refuses_asymptotic(self, c5):
-        sched = asymptotic_schedule(10**6, 2, 2, 0.5)
-        with pytest.raises(InfeasibleParamsError):
-            construct_hitting_set(c5, sched, seed=0)
-        # even a hand-forged "feasible" asymptotic point is report-only
-        forged = ParamSchedule(
-            s=2, t=2, delta=0.5, asymptotic=True, feasible=True,
-            log_bins=((1.0, 2.0),), log_ks=(1.0,),
-        )
-        with pytest.raises(InfeasibleParamsError):
-            construct_hitting_set(c5, forged, seed=0)
 
 
 class TestClosedNeighborhood:
@@ -230,12 +217,6 @@ def test_bin_and_select_pigeonhole():
                 continue
             d = (g.adj[v] & i_set.bits).bit_count()
             assert ((v in s_j) == (lo <= d < hi))
-
-
-def test_bin_and_select_refuses_asymptotic(p10):
-    _, i_set = alpha_with_witness(p10)
-    with pytest.raises(PreconditionError):
-        bin_and_select(p10, i_set, asymptotic_schedule(100, 2, 2, 0.5))
 
 
 class TestSampleIj:
@@ -484,6 +465,20 @@ class TestValidateCertificate:
         bad_host = replace(cert, n=6)
         with pytest.raises(VerificationFailure, match="host mismatch"):
             validate_certificate(c5, bad_host)
+
+    def test_freeness_violation_in_K_raises(self):
+        # C4: the common neighborhood {1, 3} of I_j = {0, 2} is independent
+        c4 = gen_cycle(4)
+        sched = simple_sched()
+        i_set = VertexSet.of(4, [0, 2])
+        empty = VertexSet.empty(4)
+        cert = HittingCertificate(
+            mode=MODE_SAMPLED_CORE, n=4, seed=0, T=i_set, I=i_set, bin_index=1, S_j=empty,
+            I_j=i_set, K=VertexSet.of(4, [1, 3]), H=i_set, NH=empty, center=None,
+            size_accounting=(2, 0, 0),
+        )
+        with pytest.raises(FreenessViolationError):
+            validate_certificate(c4, cert, sched)
 
     def test_low_degree_center_checked(self, c5):
         cert = closed_neighborhood_hitting(c5, 1)

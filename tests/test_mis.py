@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -117,3 +118,11 @@ def test_misfamily_value_object(c5):
     assert fam == again
     assert isinstance(fam, MisFamily)
     assert fam.host_n == 5
+
+
+def test_alpha_of_a_long_path_stays_within_the_recursion_limit():
+    # forced inclusions take about n/2 vertices one after another
+    n = 2 * sys.getrecursionlimit() + 100
+    alpha, witness = alpha_with_witness(gen_path(n))
+    assert alpha == (n + 1) // 2 == witness.size
+    assert independence_check(gen_path(n), witness)
