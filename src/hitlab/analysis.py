@@ -46,6 +46,7 @@ from .hitting import (
     certificate_to_text,
     construct_hitting_set,
     min_hitting_set,
+    residual_edge_count,
     residual_edges,
     sample_Ij,
     verify_hitting_set,
@@ -177,11 +178,6 @@ class McEstimate:
     samples: tuple[int, ...]
 
 
-def _residual_edge_count(g: Graph, i_bits: int, excluded: int) -> int:
-    r_bits = ((1 << g.n) - 1) & ~excluded
-    return sum((g.adj[v] & i_bits).bit_count() for v in iter_bits(r_bits))
-
-
 def monte_carlo_e(
     g: Graph, i_set: VertexSet, sched: ParamSchedule, trials: int, seed: int
 ) -> McEstimate:
@@ -198,7 +194,7 @@ def monte_carlo_e(
     for idx in range(trials):
         i_j = sample_Ij(i_set, sched.k, derive_seed(seed, idx, "mc-e"))
         k_set = build_K(g, i_j, sched.s, sched.t)
-        samples.append(_residual_edge_count(g, i_set.bits, base | k_set.bits))
+        samples.append(residual_edge_count(g, i_set.bits, base | k_set.bits))
     mean = sum(samples) / trials
     std_error = statistics.stdev(samples) / math.sqrt(trials) if trials > 1 else 0.0
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
@@ -248,7 +244,6 @@ class ExperimentConfig:
 
 
 _DEFAULT_CAPS = {"minhit_n": 24, "enum_n": 48}
-_FAMILY_KINDS = ("cluster", "gnp", "c4free", "path", "cycle")
 
 
 def load_config(source) -> ExperimentConfig:
@@ -269,11 +264,19 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(families, list) or not all(isinstance(f, dict) for f in families):
         raise ConfigError("families must be a list of objects")
     for f in families:
-        if f.get("kind") not in _FAMILY_KINDS:
-            raise ConfigError(f"unknown family kind {f.get('kind')!r}")
+        try:
+            _family_builder(f)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"family {f.get('kind')!r} needs numeric parameters") from None
     schedule = raw.get("schedule", {"mode": "auto", "s": 2, "t": 2, "k": 2})
     if not isinstance(schedule, dict):
         raise ConfigError("schedule must be an object")
+    try:
+        for key, conv in (("s", int), ("t", int), ("k", int), ("delta", float)):
+            if key in schedule:
+                conv(schedule[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("schedule s, t and k must be integers and delta a number") from None
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps must be an object")
@@ -285,13 +288,13 @@ def load_config(source) -> ExperimentConfig:
             schedule=dict(schedule),
             caps={**_DEFAULT_CAPS, **{key: int(v) for key, v in caps.items()}},
         )
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("n_values, seeds and caps must hold integers") from None
 
 
 def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, int], Graph]]:
     """(label, fixed_n or None, builder(n, seed))."""
-    kind = family["kind"]
+    kind = family.get("kind")
     if kind == "cluster":
         if "sizes" in family:
             sizes = [int(q) for q in family["sizes"]]
@@ -385,7 +388,7 @@ def _run_cell(label, builder, n, seed, schedule_raw, caps) -> ExperimentRecord:
         if cert.mode == MODE_SAMPLED_CORE:
             rec.e_observed = residual_edges(g, cert)
         if g.n <= enum_cap:
-            rec.verified = clock("verify", lambda: verify_hitting_set(g, cert.T, cap=enum_cap))
+            rec.verified = clock("verify", lambda: verify_hitting_set(g, cert.T))
             if not rec.verified:
                 raise VerificationFailure(
                     "hitting set failed verification\n" + certificate_to_text(cert)

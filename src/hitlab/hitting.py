@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graph import Graph, InducedEmbedding, VertexSet, find_independent_subset, iter_bits, min_degree_vertex
 from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
-from .mis import ENUM_CAP_DEFAULT, alpha_with_witness, enumerate_mis, independence_check
+from .mis import ENUM_CAP_DEFAULT, alpha_with_witness, enumerate_mis, first_missed, independence_check
 
 MODE_LOW_DEGREE = "low-degree"
 MODE_SAMPLED_CORE = "sampled-core"
@@ -336,17 +336,22 @@ def construct_hitting_set(
     )
 
 
-def verify_hitting_set(g: Graph, t_set: VertexSet, cap: int = ENUM_CAP_DEFAULT) -> bool:
+def verify_hitting_set(g: Graph, t_set: VertexSet) -> bool:
     """True iff every maximum independent set of g meets t_set."""
-    return enumerate_mis(g, cap=cap).all_hit(t_set)
+    return first_missed(g, t_set) is None
+
+
+def residual_edge_count(g: Graph, i_bits: int, excluded: int) -> int:
+    """Edges between I and the residual set V minus `excluded`."""
+    r_bits = ((1 << g.n) - 1) & ~excluded
+    return sum((g.adj[v] & i_bits).bit_count() for v in iter_bits(r_bits))
 
 
 def residual_edges(g: Graph, cert: HittingCertificate) -> int:
     """e = |E(I, R)| recomputed from a sampled-core certificate."""
     if cert.mode != MODE_SAMPLED_CORE:
         raise PreconditionError(f"no residual set in mode {cert.mode!r}")
-    r_bits = ((1 << g.n) - 1) & ~(cert.I.bits | cert.K.bits | cert.S_j.bits)
-    return sum((g.adj[v] & cert.I.bits).bit_count() for v in iter_bits(r_bits))
+    return residual_edge_count(g, cert.I.bits, cert.I.bits | cert.K.bits | cert.S_j.bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Exact maximum-independent-set machinery.
 
-alpha_with_witness is a bitmask branch-and-bound optimizer; enumerate_mis
-lists every maximum independent set (the hyperedge family that hitting
-sets must cover); kernel intersects them.  Everything here is the
-ground-truth oracle layer, so determinism matters more than speed:
-branching order is fixed (degree, then smallest id) and the enumerated
-family is canonically ordered.
+alpha_with_witness is a bitmask branch-and-bound optimizer and the one
+hitting-set oracle: t meets every maximum independent set iff
+alpha(G - t) < alpha(G), which first_missed and kernel test at any n.
+enumerate_mis lists the whole family (for the minimum hitting set and the
+sampling union bound) below a cap.  Determinism matters more than speed:
+branching order is fixed and sets are ordered by their sorted members.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ class MisFamily:
 
     def all_hit(self, t: VertexSet) -> bool:
         return all(s.bits & t.bits for s in self.sets)
-
-    def first_missed(self, t: VertexSet) -> Optional[VertexSet]:
-        """First member disjoint from t, in canonical order."""
-        for s in self.sets:
-            if s.bits & t.bits == 0:
-                return s
-        return None
 
 
 def _greedy_mis(adj, pool: int) -> int:
@@ -82,20 +75,16 @@ def _clique_cover_bound(adj, pool: int) -> int:
     return len(cliques)
 
 
-def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
-    """Independence number of g and one maximum independent set.
+def _max_independent(adj, pool: int) -> tuple[int, int]:
+    """(size, bits) of a maximum independent set inside the pool.
 
     Branch and bound over bit rows: greedy incumbent, popcount and
     clique-cover pruning, forced inclusion of pool vertices with pool
     degree at most 1, branching on the highest-degree pool vertex
     (smallest id on ties).  Fully deterministic.
     """
-    if g.n < 1:
-        raise PreconditionError("empty graph has no independence number")
-    adj = g.adj
-    best_bits = _greedy_mis(adj, (1 << g.n) - 1)
-    best_size = best_bits.bit_count()
-    state = [best_size, best_bits]
+    best_bits = _greedy_mis(adj, pool)
+    state = [best_bits.bit_count(), best_bits]
 
     def rec(pool: int, acc_bits: int, acc_size: int) -> None:
         # forced inclusions and the exclude branch loop, so the depth is
@@ -130,8 +119,39 @@ def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
             rec(pool & ~adj[v_branch] & ~bit, acc_bits | bit, acc_size + 1)
             pool ^= bit
 
-    rec((1 << g.n) - 1, 0, 0)
-    return state[0], VertexSet(g.n, state[1])
+    rec(pool, 0, 0)
+    return state[0], state[1]
+
+
+def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
+    """Independence number of g and one maximum independent set."""
+    if g.n < 1:
+        raise PreconditionError("empty graph has no independence number")
+    size, bits = _max_independent(g.adj, (1 << g.n) - 1)
+    return size, VertexSet(g.n, bits)
+
+
+def first_missed(g: Graph, t: VertexSet) -> Optional[VertexSet]:
+    """First maximum independent set disjoint from t in canonical order,
+    or None iff alpha(G - t) < alpha(G).  Rebuilt smallest id first: v
+    joins iff the pool left after taking it holds the remaining size."""
+    alpha, _ = alpha_with_witness(g)
+    adj = g.adj
+    pool = ((1 << g.n) - 1) & ~t.bits
+    if _max_independent(adj, pool)[0] < alpha:
+        return None
+    acc, need = 0, alpha
+    while need:
+        low = pool & -pool
+        v = low.bit_length() - 1
+        rest = pool & ~adj[v] & ~low
+        if _max_independent(adj, rest)[0] == need - 1:
+            acc |= low
+            need -= 1
+            pool = rest
+        else:
+            pool ^= low
+    return VertexSet(g.n, acc)
 
 
 def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
@@ -162,18 +182,13 @@ def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
     return MisFamily(host_n=g.n, alpha=alpha, sets=tuple(VertexSet(g.n, b) for b in out))
 
 
-def kernel(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> VertexSet:
-    """Intersection of all maximum independent sets.
-
-    Nonempty kernel means any one member alone is a hitting set.
-    """
-    fam = enumerate_mis(g, cap=cap)
-    bits = (1 << g.n) - 1
-    for s in fam.sets:
-        bits &= s.bits
-        if bits == 0:
-            break
-    return VertexSet(g.n, bits)
+def kernel(g: Graph) -> VertexSet:
+    """Intersection of all maximum independent sets: the v of one such
+    set with alpha(G - v) < alpha(G), each alone a hitting set."""
+    alpha, witness = alpha_with_witness(g)
+    full = (1 << g.n) - 1
+    kept = [v for v in witness.members() if _max_independent(g.adj, full ^ (1 << v))[0] < alpha]
+    return VertexSet.of(g.n, kept)
 
 
 def independence_check(g: Graph, vs: VertexSet) -> bool:

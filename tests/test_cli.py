@@ -157,6 +157,19 @@ class TestMis:
         assert code == 0
         assert out == "kernel: 1 2 3\n"
 
+    def test_kernel_beyond_the_enumeration_cap(self, capsys, tmp_path):
+        path = write_graph(tmp_path, "k3x20.el", gen_cluster([3] * 20))
+        code, out, _ = cli(capsys, "mis", "--graph", path, "--mode", "kernel")
+        assert code == 0
+        assert out == "kernel: -\n"
+
+    def test_kernel_of_the_empty_graph_is_a_precondition(self, capsys, tmp_path):
+        path = tmp_path / "empty.el"
+        path.write_text("0 0\n")
+        code, _, err = cli(capsys, "mis", "--graph", str(path), "--mode", "kernel")
+        assert code == 2
+        assert err.startswith("error:precondition:")
+
     def test_cap_is_a_precondition(self, capsys, tmp_path):
         path = write_graph(tmp_path, "p10.el", gen_path(10))
         code, _, err = cli(capsys, "mis", "--graph", path, "--mode", "enumerate", "--cap", "3")
@@ -235,7 +248,7 @@ class TestVerify:
     def test_explicit_set_passes(self, capsys, c5_path):
         code, out, _ = cli(capsys, "verify", "--graph", c5_path, "--set", "0,2,3,4")
         assert code == 0
-        assert out == "verified: true (5 maximum independent sets hit)\n"
+        assert out == "verified: true (every maximum independent set hit)\n"
 
     def test_explicit_set_fails_with_witness(self, capsys, c5_path):
         code, out, err = cli(capsys, "verify", "--graph", c5_path, "--set", "0,1")
@@ -266,6 +279,26 @@ class TestVerify:
         code, _, err = cli(capsys, "verify", "--graph", c5_path, "--cert", str(cert_path))
         assert code == 1
         assert err.startswith("error:parse:")
+
+    def test_cap_is_no_longer_an_option(self, capsys, c5_path):
+        code, _, err = cli(capsys, "verify", "--graph", c5_path, "--set", "0", "--cap", "60")
+        assert code == 1
+        assert err.startswith("error:usage:")
+
+    def test_answers_beyond_the_enumeration_cap(self, capsys, tmp_path):
+        # 20 disjoint triangles: n = 60 and 3^20 maximum independent sets
+        path = write_graph(tmp_path, "k3x20.el", gen_cluster([3] * 20))
+        code, out, _ = cli(capsys, "verify", "--graph", path, "--set", "0,1,2")
+        assert code == 0
+        assert out == "verified: true (every maximum independent set hit)\n"
+        code, out, err = cli(capsys, "verify", "--graph", path, "--set", "0")
+        assert code == 4 and err.startswith("error:verification:")
+        assert out == "missed: 1 " + " ".join(str(3 * i) for i in range(1, 20)) + "\n"
+        # one vertex per triangle leaves the next vertex of each free
+        one_per_triangle = ",".join(str(3 * i) for i in range(20))
+        code, out, _ = cli(capsys, "verify", "--graph", path, "--set", one_per_triangle)
+        assert code == 4
+        assert out == "missed: " + " ".join(str(3 * i + 1) for i in range(20)) + "\n"
 
     def test_needs_exactly_one_source(self, capsys, tmp_path, c5_path):
         code, _, err = cli(capsys, "verify", "--graph", c5_path)
@@ -455,6 +488,10 @@ C5_CERT = certificate_to_text(
 )
 
 
+# one path cell, so a bad schedule field is met inside a cell
+SWEEP_CONFIG = '{"families": [{"kind": "path"}], "n_values": [6], "seeds": [1], "schedule": %s}'
+
+
 def _cert_with(key, value):
     lines = [f"{key}: {value}" if line.split(":")[0] == key else line for line in C5_CERT.splitlines()]
     return "\n".join(lines) + "\n"
@@ -475,10 +512,20 @@ def _cert_with(key, value):
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": ["abc"]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"enum_n": "x"}}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": [1]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "sizes": ["x"]}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "gnp", "p": "x"}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "c4free", "m_frac": "x"}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"s": "x"}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"delta": "x"}'}),
+        (["experiment", "--config", "{dir}/x.json"],
+         {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "k": "x", "bins": [[1, 2]]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": [1e999]}'}),
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
         "cert-is-dir", "unwritable-out", "sizes-not-int", "n-values-not-int", "cap-not-int", "caps-not-object",
+        "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
+        "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
     ],
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from hitlab.mis import (
     MisFamily,
     alpha_with_witness,
     enumerate_mis,
+    first_missed,
     independence_check,
     kernel,
 )
@@ -82,8 +84,25 @@ def test_mis_family_hit_queries(c5):
     fam = enumerate_mis(c5)
     assert fam.all_hit(VertexSet.of(5, [0, 1, 2]))
     assert not fam.all_hit(VertexSet.of(5, [0]))
-    assert fam.first_missed(VertexSet.of(5, [0])) == VertexSet.of(5, [1, 3])
-    assert fam.first_missed(VertexSet.of(5, [0, 1, 2])) is None
+    assert first_missed(c5, VertexSet.of(5, [0])) == VertexSet.of(5, [1, 3])
+    assert first_missed(c5, VertexSet.of(5, [0, 1, 2])) is None
+
+
+def test_alpha_oracle_matches_subset_dp_on_hit_queries():
+    # first_missed and kernel ask alpha only; the DP lists every set
+    rng = random.Random(5)
+    for g in random_gnp_corpus(200, 1, 14, seed=2024):
+        _, masks = brute_mis_family(g)
+        full = (1 << g.n) - 1
+        for t_bits in (rng.getrandbits(g.n), 0, full):
+            missed = [m for m in masks if m & t_bits == 0]
+            expect = min(missed, key=members) if missed else None
+            got = first_missed(g, VertexSet(g.n, t_bits))
+            assert (got.bits if got else None) == expect
+        and_all = full
+        for m in masks:
+            and_all &= m
+        assert kernel(g).bits == and_all
 
 
 def test_kernel_examples():
