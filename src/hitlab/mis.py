@@ -6,6 +6,15 @@ alpha(G - t) < alpha(G), which first_missed and kernel test at any n.
 enumerate_mis lists the whole family (for the minimum hitting set and the
 sampling union bound) below a cap.  Determinism matters more than speed:
 branching order is fixed and sets are ordered by their sorted members.
+
+Both searches are cheap per node, not smaller: the greedy incumbent keeps
+pool degrees in buckets, and the clique-cover bound is built one clique
+at a time and stops once it can no longer prune.  They pick and count
+exactly what a full degree rescan and a first-fit cover would, so the
+search tree, alpha and the witness are the same by design (the test
+suite keeps those plain versions as references).  enumerate_mis cuts
+with the same cover; a cut subtree holds no maximum set, so the family
+and its order do not change.
 """
 
 from __future__ import annotations
@@ -40,39 +49,75 @@ class MisFamily:
 
 
 def _greedy_mis(adj, pool: int) -> int:
-    """Min-degree-first greedy independent set; the initial incumbent."""
-    acc = 0
-    while pool:
-        best_v, best_d = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (adj[v] & pool).bit_count()
-            if best_v < 0 or d < best_d:
-                best_v, best_d = v, d
-        acc |= 1 << best_v
-        pool &= ~adj[best_v]
-        pool ^= 1 << best_v
-    return acc
+    """Min-degree-first greedy independent set; the initial incumbent.
 
-
-def _clique_cover_bound(adj, pool: int) -> int:
-    # greedy clique cover of the pool; its size bounds alpha(pool) above
-    cliques: list[int] = []
+    Takes the vertex of least pool degree, smallest id on ties.  Pool
+    degrees sit in buckets (bitmask per degree) and only the pool
+    neighbours of the vertices a pick removes are rebucketed, so the
+    work is bounded by the edges inside the pool, not |pool|^2.
+    """
+    deg = [0] * len(adj)
+    buckets = [0] * pool.bit_count()
     m = pool
     while m:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        for i, cb in enumerate(cliques):
-            if cb & ~adj[v] == 0:
-                cliques[i] = cb | low
-                break
-        else:
-            cliques.append(low)
-    return len(cliques)
+        d = (adj[v] & pool).bit_count()
+        deg[v] = d
+        buckets[d] |= low
+    acc, lo = 0, 0
+    while pool:
+        while not buckets[lo]:
+            lo += 1
+        low = buckets[lo] & -buckets[lo]
+        v = low.bit_length() - 1
+        acc |= low
+        removed = (adj[v] & pool) | low
+        pool ^= removed
+        touched = 0
+        m = removed
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            m ^= low
+            buckets[deg[x]] ^= low
+            touched |= adj[x]
+        m = touched & pool
+        while m:
+            low = m & -m
+            y = low.bit_length() - 1
+            m ^= low
+            d = (adj[y] & pool).bit_count()
+            buckets[deg[y]] ^= low
+            buckets[d] |= low
+            deg[y] = d
+            if d < lo:
+                lo = d
+    return acc
+
+
+def _clique_cover_bound(adj, pool: int, limit: int) -> int:
+    """Size of the first-fit clique cover of the pool in id order, an
+    upper bound on alpha(pool); counting stops at limit + 1.
+
+    Each clique is built whole: its lowest free vertex, then the lowest
+    remaining common neighbour, and so on.  That is exactly the clique
+    first fit would fill, so callers see the same count for any
+    `count <= limit` decision.
+    """
+    count = 0
+    while pool and count <= limit:
+        low = pool & -pool
+        clique = low
+        u = adj[low.bit_length() - 1] & pool
+        while u:
+            w = u & -u
+            clique |= w
+            u &= adj[w.bit_length() - 1]
+        pool ^= clique
+        count += 1
+    return count
 
 
 def _max_independent(adj, pool: int) -> tuple[int, int]:
@@ -113,7 +158,8 @@ def _max_independent(adj, pool: int) -> tuple[int, int]:
                 acc_bits |= low
                 acc_size += 1
                 continue
-            if acc_size + _clique_cover_bound(adj, pool) <= state[0]:
+            room = state[0] - acc_size
+            if _clique_cover_bound(adj, pool, room) <= room:
                 return
             bit = 1 << v_branch
             rec(pool & ~adj[v_branch] & ~bit, acc_bits | bit, acc_size + 1)
@@ -158,8 +204,9 @@ def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
     """Complete family of maximum independent sets.
 
     Pins alpha first, then DFS over ascending vertex ids emitting exactly
-    the independent sets of that size; refuses graphs above `cap` to keep
-    accidental exponential blowups loud.
+    the independent sets of that size, leaving a subtree once a clique
+    cover of its pool is smaller than the members still needed; refuses
+    graphs above `cap` to keep accidental exponential blowups loud.
     """
     if g.n > cap:
         raise EnumerationCapError(f"n={g.n} exceeds enumeration cap {cap}")
@@ -171,7 +218,8 @@ def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
         if acc_size == alpha:
             out.append(acc_bits)
             return
-        if acc_size + pool.bit_count() < alpha:
+        need = alpha - acc_size
+        if _clique_cover_bound(adj, pool, need - 1) < need:
             return
         low = pool & -pool
         v = low.bit_length() - 1

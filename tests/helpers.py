@@ -3,6 +3,12 @@
 The brute-force routines here deliberately share no code with the
 library: subset DP for independent sets, direct pair scans for pattern
 checks.  Slow but unarguable.
+
+ref_greedy_mis, ref_clique_cover_bound and ref_max_independent are the
+original O(n^2) greedy, the first-fit clique cover and the branch and
+bound built on them, kept verbatim: the library's incremental versions
+must give the same incumbent, the same cover decisions and so the same
+search tree, alpha and witness.
 """
 
 from __future__ import annotations
@@ -97,3 +103,87 @@ def random_gnp_corpus(count: int, n_lo: int, n_hi: int, seed: int) -> list[Graph
 
 def members(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def ref_greedy_mis(adj, pool: int) -> int:
+    """Min-degree-first greedy independent set; the initial incumbent."""
+    acc = 0
+    while pool:
+        best_v, best_d = -1, -1
+        m = pool
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            d = (adj[v] & pool).bit_count()
+            if best_v < 0 or d < best_d:
+                best_v, best_d = v, d
+        acc |= 1 << best_v
+        pool &= ~adj[best_v]
+        pool ^= 1 << best_v
+    return acc
+
+
+def ref_clique_cover_bound(adj, pool: int) -> int:
+    # greedy clique cover of the pool; its size bounds alpha(pool) above
+    cliques: list[int] = []
+    m = pool
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        for i, cb in enumerate(cliques):
+            if cb & ~adj[v] == 0:
+                cliques[i] = cb | low
+                break
+        else:
+            cliques.append(low)
+    return len(cliques)
+
+
+def ref_max_independent(adj, pool: int) -> tuple[int, int]:
+    """(size, bits) of a maximum independent set inside the pool.
+
+    Branch and bound over bit rows: greedy incumbent, popcount and
+    clique-cover pruning, forced inclusion of pool vertices with pool
+    degree at most 1, branching on the highest-degree pool vertex
+    (smallest id on ties).  Fully deterministic.
+    """
+    best_bits = ref_greedy_mis(adj, pool)
+    state = [best_bits.bit_count(), best_bits]
+
+    def rec(pool: int, acc_bits: int, acc_size: int) -> None:
+        # forced inclusions and the exclude branch loop, so the depth is
+        # the number of open include branches, not of vertices taken
+        while True:
+            if acc_size + pool.bit_count() <= state[0]:
+                return
+            if pool == 0:
+                state[0], state[1] = acc_size, acc_bits
+                return
+            v_branch, d_branch = -1, -1
+            m = pool
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                pd = (adj[v] & pool).bit_count()
+                if pd <= 1:
+                    break
+                if pd > d_branch:
+                    v_branch, d_branch = v, pd
+            if pd <= 1:
+                # v plus a non-neighbor of its at most one pool neighbor
+                # is never worse than skipping v
+                pool = (pool & ~adj[v]) ^ low
+                acc_bits |= low
+                acc_size += 1
+                continue
+            if acc_size + ref_clique_cover_bound(adj, pool) <= state[0]:
+                return
+            bit = 1 << v_branch
+            rec(pool & ~adj[v_branch] & ~bit, acc_bits | bit, acc_size + 1)
+            pool ^= bit
+
+    rec(pool, 0, 0)
+    return state[0], state[1]

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: every subcommand, every exit code, and the
 thin-adapter promise that CLI output equals the library call's output."""
 
+import os
+import subprocess
 import sys
 
 import pytest
 
+import hitlab
 from hitlab.cli import dispatch, main
 from hitlab.analysis import resolve_schedule
 from hitlab.graph import gen_cluster, gen_cycle, gen_path
@@ -68,6 +71,17 @@ class TestTopLevel:
             main()
         assert ex.value.code == 0
         assert "exact:" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(hitlab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hitlab.cli", "verify", "--graph", "/nonexistent", "--set", "0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error:parse:")
 
 
 class TestGen:

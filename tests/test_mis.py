@@ -7,16 +7,27 @@ import sys
 import pytest
 
 from hitlab.errors import EnumerationCapError, PreconditionError
-from hitlab.graph import Graph, VertexSet, gen_cluster, gen_cycle, gen_gnp, gen_path
+from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path
 from hitlab.mis import (
     MisFamily,
+    _clique_cover_bound,
+    _greedy_mis,
+    _max_independent,
     alpha_with_witness,
     enumerate_mis,
     first_missed,
     independence_check,
     kernel,
 )
-from helpers import brute_mis_family, members, petersen, random_gnp_corpus
+from helpers import (
+    brute_mis_family,
+    members,
+    petersen,
+    random_gnp_corpus,
+    ref_clique_cover_bound,
+    ref_greedy_mis,
+    ref_max_independent,
+)
 
 
 def assert_matches_brute(g: Graph):
@@ -145,3 +156,44 @@ def test_alpha_of_a_long_path_stays_within_the_recursion_limit():
     alpha, witness = alpha_with_witness(gen_path(n))
     assert alpha == (n + 1) // 2 == witness.size
     assert independence_check(gen_path(n), witness)
+
+
+def assert_matches_reference(adj, pool):
+    assert _greedy_mis(adj, pool) == ref_greedy_mis(adj, pool)
+    cover = ref_clique_cover_bound(adj, pool)
+    for limit in range(-1, cover + 2):
+        assert (_clique_cover_bound(adj, pool, limit) <= limit) == (cover <= limit)
+    assert _max_independent(adj, pool) == ref_max_independent(adj, pool)
+
+
+def test_incremental_kernels_match_the_reference_on_random_pools():
+    rng = random.Random(29)
+    for g in random_gnp_corpus(60, 1, 30, seed=31):
+        full = (1 << g.n) - 1
+        for pool in [full] + [rng.getrandbits(g.n) for _ in range(3)]:
+            assert_matches_reference(g.adj, pool)
+
+
+@pytest.mark.parametrize("n", [56, 60, 64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_incremental_kernels_match_the_reference_on_c4free(n, seed):
+    g = gen_c4_free_process(n, round(0.1 * n * (n - 1) / 2), seed)
+    assert_matches_reference(g.adj, (1 << n) - 1)
+
+
+def test_greedy_matches_the_reference_on_a_long_path():
+    g = gen_path(2000)
+    full = (1 << g.n) - 1
+    assert _greedy_mis(g.adj, full) == ref_greedy_mis(g.adj, full)
+
+
+def test_enumerate_long_path_and_cycle():
+    # tiny families under an exponential plain DFS tree: the clique-cover
+    # cut keeps each at milliseconds, so a regression shows as a slow test
+    n = 40
+    path_sets = [tuple(range(0, 2 * k, 2)) + tuple(range(2 * k + 1, n, 2)) for k in range(n // 2 + 1)]
+    cycle_sets = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
+    for g, expected in ((gen_path(n), path_sets), (gen_cycle(n), cycle_sets)):
+        fam = enumerate_mis(g)
+        assert fam.alpha == n // 2
+        assert [vs.members() for vs in fam.sets] == sorted(expected)
