@@ -10,6 +10,7 @@ exists), 3 infeasible parameters, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import (
@@ -297,6 +298,7 @@ def _add_graph_arg(sub) -> None:
     sub.add_argument("--format", choices=("auto", "edge-list", "dimacs"), default="auto")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="hitlab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")

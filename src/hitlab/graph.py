@@ -203,6 +203,8 @@ class Graph:
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p); each unordered pair kept with probability p."""
+    if n < 0:
+        raise PreconditionError(f"negative vertex count {n}")
     if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
@@ -256,6 +258,10 @@ def gen_c4_free_process(n: int, target_m: int, seed: int) -> Graph:
     The result is C4-subgraph-free, hence induced-C4-free.  May saturate
     below target_m; the returned graph's m records what was achieved.
     """
+    if n < 0:
+        raise PreconditionError(f"negative vertex count {n}")
+    if target_m < 0:
+        raise PreconditionError(f"negative target edge count {target_m}")
     if target_m > n * (n - 1) // 2:
         raise PreconditionError(f"target_m {target_m} exceeds C({n},2)")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

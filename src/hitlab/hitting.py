@@ -209,13 +209,15 @@ def bin_and_select(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> tuple[in
     """Assign each outside vertex to the bin holding its I-degree, then
     return the 1-based index and content of the lightest bin (ties to the
     smallest index).  The winner's size is at most (n-|I|)/#bins."""
-    masks = [0] * len(sched.bins)
-    outside = ((1 << g.n) - 1) & ~i_set.bits
-    for v in iter_bits(outside):
+    by_degree: dict[int, int] = {}
+    for v in iter_bits(((1 << g.n) - 1) & ~i_set.bits):
         d = (g.adj[v] & i_set.bits).bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    masks = [0] * len(sched.bins)
+    for d, bits in by_degree.items():
         for idx, (lo, hi) in enumerate(sched.bins):
             if lo <= d < hi:
-                masks[idx] |= 1 << v
+                masks[idx] |= bits
                 break
     best = 0
     for idx in range(1, len(masks)):

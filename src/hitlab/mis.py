@@ -1,20 +1,31 @@
 """Exact maximum-independent-set machinery.
 
-alpha_with_witness is a bitmask branch-and-bound optimizer and the one
-hitting-set oracle: t meets every maximum independent set iff
-alpha(G - t) < alpha(G), which first_missed and kernel test at any n.
-enumerate_mis lists the whole family (for the minimum hitting set and the
-sampling union bound) below a cap.  Determinism matters more than speed:
-branching order is fixed and sets are ordered by their sorted members.
+Three searches, each answering one question.  The value search
+`_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
+search `has_independent(adj, pool, target)` is built on it; since only a
+number leaves them, they peel pool vertices of degree at most 1, relabel
+by degree and branch in colour order (MCS on the complement).  The
+witness walk `_max_independent` returns the maximum independent set a
+frozen branch and bound reaches first, which certificates and the CLI's
+`witness:` line pin.  first_missed and kernel decide "t meets every
+maximum independent set" by alpha(G - t) < alpha(G) with the decision
+search at any n; enumerate_mis lists the whole family below a cap.
 
-Both searches are cheap per node, not smaller: the greedy incumbent keeps
-pool degrees in buckets, and the clique-cover bound is built one clique
-at a time and stops once it can no longer prune.  They pick and count
-exactly what a full degree rescan and a first-fit cover would, so the
-search tree, alpha and the witness are the same by design (the test
-suite keeps those plain versions as references).  enumerate_mis cuts
-with the same cover; a cut subtree holds no maximum set, so the family
-and its order do not change.
+Why the walk reproduces the frozen search: that search keeps its greedy
+incumbent unless a leaf is strictly larger, so its answer is the greedy
+set when that has size alpha (always so when it matches the id-order
+clique cover, as on clusters and paths) and otherwise its first leaf of
+size alpha in depth-first order.  Forced inclusions keep alpha and the
+include and exclude branches split the pool's independent sets, so the
+include subtree holds a leaf of size alpha iff the include pool holds an
+independent set of the remaining size.  The walk asks exactly that at
+each branch vertex (cover test first, the decision search when the cover
+cannot tell) and goes straight to that leaf.  The greedy incumbent keeps
+pool degrees in buckets and the clique cover is built one clique at a
+time; both give what a full rescan and a first-fit cover would (the test
+suite keeps those plain versions and the frozen search as references).
+enumerate_mis cuts with the same cover; a cut subtree holds no maximum
+set, so the family and its canonical order do not change.
 """
 
 from __future__ import annotations
@@ -120,60 +131,154 @@ def _clique_cover_bound(adj, pool: int, limit: int) -> int:
     return count
 
 
-def _max_independent(adj, pool: int) -> tuple[int, int]:
-    """(size, bits) of a maximum independent set inside the pool.
+def _peel(adj, pool: int) -> tuple[int, int]:
+    """(count, rest): take pool vertices of pool degree at most 1, each
+    with its neighbour gone, until none is left.  Each take keeps alpha,
+    so alpha(pool) = count + alpha(rest)."""
+    count, todo = 0, pool
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nb = adj[low.bit_length() - 1] & pool
+        if nb & (nb - 1):
+            continue
+        count += 1
+        pool ^= nb | low
+        if nb:
+            # the neighbour's other neighbours may have dropped to degree 1
+            todo = (todo | adj[nb.bit_length() - 1]) & pool
+    return count, pool
 
-    Branch and bound over bit rows: greedy incumbent, popcount and
-    clique-cover pruning, forced inclusion of pool vertices with pool
-    degree at most 1, branching on the highest-degree pool vertex
-    (smallest id on ties).  Fully deterministic.
+
+def _relabel(adj, pool: int) -> list[int]:
+    """Rows of the pool renumbered 0..k-1: the vertex of largest degree
+    among those not yet removed is removed next (smallest id on ties),
+    and the first removed gets the highest number."""
+    deg = [0] * len(adj)
+    buckets = [0] * pool.bit_count()
+    for v in iter_bits(pool):
+        deg[v] = d = (adj[v] & pool).bit_count()
+        buckets[d] |= 1 << v
+    order, rest, hi = [], pool, len(buckets) - 1
+    while rest:
+        while not buckets[hi]:
+            hi -= 1
+        low = buckets[hi] & -buckets[hi]
+        v = low.bit_length() - 1
+        buckets[hi] ^= low
+        rest ^= low
+        order.append(v)
+        for u in iter_bits(adj[v] & rest):
+            buckets[deg[u]] ^= 1 << u
+            deg[u] -= 1
+            buckets[deg[u]] |= 1 << u
+    order.reverse()
+    new = {v: i for i, v in enumerate(order)}
+    return [sum(1 << new[u] for u in iter_bits(adj[v] & pool)) for v in order]
+
+
+def _alpha(adj, pool: int, floor: int, goal: int) -> int:
+    """alpha(pool) when it lies above floor and below goal; floor when
+    alpha(pool) <= floor; some value in goal..alpha(pool) otherwise.
+
+    Colour-ordered branch and bound (MCS in complement form) over the
+    relabelled pool: the colour classes are the id-order cliques, and
+    only vertices whose class number can still beat the incumbent are
+    branched on, highest class first.  Only the number leaves, so the
+    search is free to pick its own order.
     """
-    best_bits = _greedy_mis(adj, pool)
-    state = [best_bits.bit_count(), best_bits]
+    taken, pool = _peel(adj, pool)
+    if taken + pool.bit_count() <= floor:
+        return floor
+    if not pool:
+        return taken
+    rows = _relabel(adj, pool)
+    best, goal = floor - taken, goal - taken
 
-    def rec(pool: int, acc_bits: int, acc_size: int) -> None:
-        # forced inclusions and the exclude branch loop, so the depth is
-        # the number of open include branches, not of vertices taken
-        while True:
-            if acc_size + pool.bit_count() <= state[0]:
+    def expand(pool: int, size: int) -> None:
+        nonlocal best
+        more, pool = _peel(rows, pool)
+        size += more
+        if size > best:
+            best = size
+        branch = []
+        rest, k = pool, 0
+        while rest:
+            k += 1
+            clique = rest
+            while clique:
+                low = clique & -clique
+                rest ^= low
+                clique &= rows[low.bit_length() - 1]
+                if size + k > best:
+                    branch.append((low, k))
+        for low, k in reversed(branch):
+            if size + k <= best or best >= goal:
                 return
-            if pool == 0:
-                state[0], state[1] = acc_size, acc_bits
-                return
-            v_branch, d_branch = -1, -1
-            m = pool
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                pd = (adj[v] & pool).bit_count()
-                if pd <= 1:
-                    break
-                if pd > d_branch:
-                    v_branch, d_branch = v, pd
+            expand(pool & ~rows[low.bit_length() - 1] & ~low, size + 1)
+            pool ^= low
+
+    expand((1 << len(rows)) - 1, 0)
+    return best + taken
+
+
+def has_independent(adj, pool: int, target: int) -> bool:
+    """True iff the pool holds an independent set of `target` vertices."""
+    return _alpha(adj, pool, target - 1, target) >= target
+
+
+def _max_independent(adj, pool: int) -> tuple[int, int]:
+    """(size, bits) of the maximum independent set inside the pool that
+    the frozen branch and bound reaches first: greedy incumbent, forced
+    inclusion of pool vertices of pool degree at most 1 (smallest id
+    first), branching on the highest-degree pool vertex (smallest id on
+    ties), include side first.  The walk goes straight to that set.
+    """
+    greedy = _greedy_mis(adj, pool)
+    size = greedy.bit_count()
+    cover = _clique_cover_bound(adj, pool, pool.bit_count())
+    alpha = size if cover == size else _alpha(adj, pool, size, cover)
+    if alpha == size:
+        return size, greedy
+    acc, size = 0, 0
+    while pool:
+        v_branch, d_branch = -1, -1
+        m = pool
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            pd = (adj[v] & pool).bit_count()
             if pd <= 1:
-                # v plus a non-neighbor of its at most one pool neighbor
-                # is never worse than skipping v
-                pool = (pool & ~adj[v]) ^ low
-                acc_bits |= low
-                acc_size += 1
-                continue
-            room = state[0] - acc_size
-            if _clique_cover_bound(adj, pool, room) <= room:
-                return
-            bit = 1 << v_branch
-            rec(pool & ~adj[v_branch] & ~bit, acc_bits | bit, acc_size + 1)
+                break
+            if pd > d_branch:
+                v_branch, d_branch = v, pd
+        if pd <= 1:
+            # v plus a non-neighbor of its at most one pool neighbor
+            # is never worse than skipping v
+            pool = (pool & ~adj[v]) ^ low
+            acc |= low
+            size += 1
+            continue
+        bit = 1 << v_branch
+        include = pool & ~adj[v_branch] & ~bit
+        need = alpha - size - 1
+        if _clique_cover_bound(adj, include, need - 1) >= need and has_independent(adj, include, need):
+            pool, acc, size = include, acc | bit, size + 1
+        else:
             pool ^= bit
+    return alpha, acc
 
-    rec(pool, 0, 0)
-    return state[0], state[1]
+
+def _full_pool(g: Graph) -> int:
+    if g.n < 1:
+        raise PreconditionError("empty graph has no independence number")
+    return (1 << g.n) - 1
 
 
 def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
     """Independence number of g and one maximum independent set."""
-    if g.n < 1:
-        raise PreconditionError("empty graph has no independence number")
-    size, bits = _max_independent(g.adj, (1 << g.n) - 1)
+    size, bits = _max_independent(g.adj, _full_pool(g))
     return size, VertexSet(g.n, bits)
 
 
@@ -181,17 +286,18 @@ def first_missed(g: Graph, t: VertexSet) -> Optional[VertexSet]:
     """First maximum independent set disjoint from t in canonical order,
     or None iff alpha(G - t) < alpha(G).  Rebuilt smallest id first: v
     joins iff the pool left after taking it holds the remaining size."""
-    alpha, _ = alpha_with_witness(g)
     adj = g.adj
-    pool = ((1 << g.n) - 1) & ~t.bits
-    if _max_independent(adj, pool)[0] < alpha:
+    full = _full_pool(g)
+    alpha = _alpha(adj, full, 0, g.n)
+    pool = full & ~t.bits
+    if not has_independent(adj, pool, alpha):
         return None
     acc, need = 0, alpha
     while need:
         low = pool & -pool
         v = low.bit_length() - 1
         rest = pool & ~adj[v] & ~low
-        if _max_independent(adj, rest)[0] == need - 1:
+        if has_independent(adj, rest, need - 1):
             acc |= low
             need -= 1
             pool = rest
@@ -210,8 +316,8 @@ def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
     """
     if g.n > cap:
         raise EnumerationCapError(f"n={g.n} exceeds enumeration cap {cap}")
-    alpha, _ = alpha_with_witness(g)
     adj = g.adj
+    alpha = _alpha(adj, _full_pool(g), 0, g.n)
     out: list[int] = []
 
     def rec(pool: int, acc_bits: int, acc_size: int) -> None:
@@ -235,7 +341,7 @@ def kernel(g: Graph) -> VertexSet:
     set with alpha(G - v) < alpha(G), each alone a hitting set."""
     alpha, witness = alpha_with_witness(g)
     full = (1 << g.n) - 1
-    kept = [v for v in witness.members() if _max_independent(g.adj, full ^ (1 << v))[0] < alpha]
+    kept = [v for v in witness.members() if not has_independent(g.adj, full ^ (1 << v), alpha)]
     return VertexSet.of(g.n, kept)
 
 

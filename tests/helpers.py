@@ -8,7 +8,9 @@ ref_greedy_mis, ref_clique_cover_bound and ref_max_independent are the
 original O(n^2) greedy, the first-fit clique cover and the branch and
 bound built on them, kept verbatim: the library's incremental versions
 must give the same incumbent, the same cover decisions and so the same
-search tree, alpha and witness.
+search tree, alpha and witness, and the witness walk must reach the
+leaf this search returns.  ref_bin_and_select is the original scan of
+every bin for every outside vertex.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from hitlab.graph import Graph, gen_gnp
+from hitlab.graph import Graph, VertexSet, gen_gnp, iter_bits
 
 # outer C5, inner pentagram, spokes
 PETERSEN_EDGES = [
@@ -187,3 +189,19 @@ def ref_max_independent(adj, pool: int) -> tuple[int, int]:
 
     rec(pool, 0, 0)
     return state[0], state[1]
+
+
+def ref_bin_and_select(g: Graph, i_set: VertexSet, sched) -> tuple[int, VertexSet]:
+    masks = [0] * len(sched.bins)
+    outside = ((1 << g.n) - 1) & ~i_set.bits
+    for v in iter_bits(outside):
+        d = (g.adj[v] & i_set.bits).bit_count()
+        for idx, (lo, hi) in enumerate(sched.bins):
+            if lo <= d < hi:
+                masks[idx] |= 1 << v
+                break
+    best = 0
+    for idx in range(1, len(masks)):
+        if masks[idx].bit_count() < masks[best].bit_count():
+            best = idx
+    return best + 1, VertexSet(g.n, masks[best])

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hitlab
-from hitlab.cli import dispatch, main
+from hitlab.cli import build_parser, dispatch, main
 from hitlab.analysis import resolve_schedule
 from hitlab.graph import gen_cluster, gen_cycle, gen_path
 from hitlab.hitting import certificate_to_text, construct_hitting_set
@@ -19,6 +19,15 @@ def cli(capsys, *argv):
     code = dispatch(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def python_dash_m(module, *argv):
+    src = os.path.dirname(os.path.dirname(hitlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def write_graph(tmp_path, name, g):
@@ -73,15 +82,34 @@ class TestTopLevel:
         assert "exact:" in capsys.readouterr().out
 
     def test_python_dash_m_runs_the_cli(self):
-        src = os.path.dirname(os.path.dirname(hitlab.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "hitlab.cli", "verify", "--graph", "/nonexistent", "--set", "0"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python_dash_m("hitlab.cli", "verify", "--graph", "/nonexistent", "--set", "0")
         assert proc.returncode != 0
         assert proc.stderr.startswith("error:parse:")
+
+    def test_python_dash_m_hitlab_runs_the_cli(self):
+        proc = python_dash_m("hitlab", "verify", "--graph", "/nonexistent", "--set", "0")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:parse:")
+
+    def test_one_parser_serves_every_call(self, capsys, c5_path, tmp_path):
+        # a flag given to one call must not leak into the next
+        cert = str(tmp_path / "c5.cert")
+        runs = [
+            ["hit", "--graph", c5_path, "--theta", "1:2", "--delta", "0.5", "--seed", "7", "--out", cert],
+            ["hit", "--graph", c5_path, "--delta", "0.5", "--seed", "7"],
+            ["hit", "--graph", c5_path, "--theta", "1:2", "--theta", "0:1", "--delta", "0.5"],
+            ["verify", "--graph", c5_path, "--cert", cert],
+            ["verify", "--graph", c5_path, "--set", "0,1,2"],
+            ["verify", "--graph", c5_path, "--set", "0"],
+        ]
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append(cli(capsys, *argv))
+        build_parser.cache_clear()
+        assert [cli(capsys, *argv) for argv in runs] == fresh
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 0, 0, 4]
+        assert build_parser() is build_parser()
 
 
 class TestGen:
@@ -523,6 +551,8 @@ def _cert_with(key, value):
         (["verify", "--graph", "{c5}", "--cert", "{dir}"], {}),
         (["hit", "--graph", "{c5}", "--theta", "1:2", "--delta", "0.5", "--out", "{dir}/no/such/dir/x"], {}),
         (["gen", "--family", "cluster", "--sizes", "3,x"], {}),
+        (["gen", "--family", "gnp", "--n", "-5", "--p", "0.5"], {}),
+        (["gen", "--family", "c4free", "--n", "5", "--m", "-1"], {}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": ["abc"]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"enum_n": "x"}}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": [1]}'}),
@@ -537,7 +567,8 @@ def _cert_with(key, value):
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
-        "cert-is-dir", "unwritable-out", "sizes-not-int", "n-values-not-int", "cap-not-int", "caps-not-object",
+        "cert-is-dir", "unwritable-out", "sizes-not-int", "gnp-negative-n", "c4free-negative-m",
+        "n-values-not-int", "cap-not-int", "caps-not-object",
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
     ],

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hitlab.analysis import resolve_schedule
 from hitlab.errors import (
     FreenessViolationError,
     GraphFormatError,
@@ -41,7 +42,7 @@ from hitlab.hitting import (
     verify_hitting_set,
 )
 from hitlab.mis import alpha_with_witness, enumerate_mis
-from helpers import brute_min_hitting, random_gnp_corpus
+from helpers import brute_min_hitting, random_gnp_corpus, ref_bin_and_select
 
 UNIT_BIN = ((1.0, 2.0),)
 
@@ -217,6 +218,22 @@ def test_bin_and_select_pigeonhole():
                 continue
             d = (g.adj[v] & i_set.bits).bit_count()
             assert ((v in s_j) == (lo <= d < hi))
+
+
+def test_bin_and_select_matches_the_scan_of_every_bin():
+    # descending bins with gaps between them, so some degrees fall in no bin
+    rng = random.Random(17)
+    cases = []
+    for g in random_gnp_corpus(40, 4, 30, seed=19):
+        cuts = sorted(rng.sample(range(2 * g.n + 2), 2 * rng.randint(1, 6)), reverse=True)
+        bins = [(cuts[i + 1] / 2, cuts[i] / 2) for i in range(0, len(cuts), 2)]
+        cases.append((g, alpha_with_witness(g)[1], simple_sched(bins=bins)))
+    path = gen_path(2000)
+    auto = resolve_schedule(path, {"mode": "auto", "s": 2, "t": 2, "k": 2})
+    assert auto.num_bins > 2000
+    cases.append((path, alpha_with_witness(path)[1], auto))
+    for g, i_set, sched in cases:
+        assert bin_and_select(g, i_set, sched) == ref_bin_and_select(g, i_set, sched)
 
 
 class TestSampleIj:

@@ -10,12 +10,14 @@ from hitlab.errors import EnumerationCapError, PreconditionError
 from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path
 from hitlab.mis import (
     MisFamily,
+    _alpha,
     _clique_cover_bound,
     _greedy_mis,
     _max_independent,
     alpha_with_witness,
     enumerate_mis,
     first_missed,
+    has_independent,
     independence_check,
     kernel,
 )
@@ -197,3 +199,48 @@ def test_enumerate_long_path_and_cycle():
         fam = enumerate_mis(g)
         assert fam.alpha == n // 2
         assert [vs.members() for vs in fam.sets] == sorted(expected)
+
+
+def pool_alpha(g: Graph, pool: int) -> int:
+    ids = {v: i for i, v in enumerate(members(pool))}
+    sub = Graph.from_edges(len(ids), [(ids[u], ids[v]) for u, v in g.edges() if u in ids and v in ids])
+    return brute_mis_family(sub)[0]
+
+
+def test_value_and_decision_searches_match_the_subset_dp():
+    rng = random.Random(37)
+    for g in random_gnp_corpus(50, 1, 14, seed=39):
+        full = (1 << g.n) - 1
+        for pool in (full, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            alpha = pool_alpha(g, pool)
+            for target in range(alpha + 2):
+                assert has_independent(g.adj, pool, target) == (target <= alpha)
+            for floor in range(-1, alpha + 2):
+                for goal in range(floor + 1, alpha + 3):
+                    got = _alpha(g.adj, pool, floor, goal)
+                    if alpha <= floor:
+                        assert got == floor
+                    elif alpha < goal:
+                        assert got == alpha
+                    else:
+                        assert goal <= got <= alpha
+
+
+def test_witness_walk_matches_the_frozen_reference_on_a_cluster():
+    g = gen_cluster([3] * 20)
+    alpha, witness = alpha_with_witness(g)
+    assert (alpha, witness.bits) == ref_max_independent(g.adj, (1 << g.n) - 1)
+
+
+def test_long_path_and_cycle_within_the_recursion_limit():
+    # the frozen search returns every even id below 2000 on both; no
+    # maximum independent set of the odd cycle misses three consecutive
+    # vertices, and each vertex is missed by some such set
+    evens = tuple(range(0, 2000, 2))
+    for g in (gen_path(2000), gen_cycle(2001)):
+        assert _alpha(g.adj, (1 << g.n) - 1, 0, g.n) == 1000
+        alpha, witness = alpha_with_witness(g)
+        assert alpha == 1000 and witness.members() == evens
+    cycle = gen_cycle(2001)
+    assert first_missed(cycle, VertexSet.of(2001, [0, 1, 2])) is None
+    assert kernel(cycle).size == 0
