@@ -3,8 +3,10 @@
 Three searches, each answering one question.  The value search
 `_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
 search `has_independent(adj, pool, target)` is built on it; since only a
-number leaves them, they peel pool vertices of degree at most 1, relabel
-by degree and branch in colour order (MCS on the complement).  The
+number leaves them, they peel pool vertices of degree at most 1, stop
+at once when the greedy set meets the clique cover, and otherwise
+relabel by degree and branch in colour order (MCS on the complement)
+from an explicit stack, so no input size meets the recursion limit.  The
 witness walk `_max_independent` returns the maximum independent set a
 frozen branch and bound reaches first, which certificates and the CLI's
 `witness:` line pin.  first_missed and kernel decide "t meets every
@@ -18,12 +20,12 @@ clique cover, as on clusters and paths) and otherwise its first leaf of
 size alpha in depth-first order.  Forced inclusions keep alpha and the
 include and exclude branches split the pool's independent sets, so the
 include subtree holds a leaf of size alpha iff the include pool holds an
-independent set of the remaining size.  The walk asks exactly that at
-each branch vertex (cover test first, the decision search when the cover
-cannot tell) and goes straight to that leaf.  The greedy incumbent keeps
-pool degrees in buckets and the clique cover is built one clique at a
-time; both give what a full rescan and a first-fit cover would (the test
-suite keeps those plain versions and the frozen search as references).
+independent set of the remaining size.  The walk asks the decision
+search exactly that at each branch vertex and goes straight to that
+leaf.  The greedy incumbent keeps pool degrees in buckets and the clique
+cover is built one clique at a time; both give what a full rescan and a
+first-fit cover would (the test suite keeps those plain versions and the
+frozen search as references).
 enumerate_mis cuts with the same cover; a cut subtree holds no maximum
 set, so the family and its canonical order do not change.
 """
@@ -181,44 +183,52 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     """alpha(pool) when it lies above floor and below goal; floor when
     alpha(pool) <= floor; some value in goal..alpha(pool) otherwise.
 
-    Colour-ordered branch and bound (MCS in complement form) over the
-    relabelled pool: the colour classes are the id-order cliques, and
-    only vertices whose class number can still beat the incumbent are
-    branched on, highest class first.  Only the number leaves, so the
-    search is free to pick its own order.
+    The greedy set is the first incumbent and ends the search when it
+    reaches goal or the id-order clique cover.  Then a colour-ordered
+    branch and bound (MCS in complement form) over the relabelled pool:
+    the colour classes are the id-order cliques, and only vertices whose
+    class number can still beat the incumbent are branched on, highest
+    class first.  Only the number leaves, so the search is free to pick
+    its own order.  Nodes sit on an explicit stack, so deep searches
+    need no recursion.
     """
     taken, pool = _peel(adj, pool)
-    if taken + pool.bit_count() <= floor:
-        return floor
-    if not pool:
-        return taken
-    rows = _relabel(adj, pool)
     best, goal = floor - taken, goal - taken
-
-    def expand(pool: int, size: int) -> None:
-        nonlocal best
-        more, pool = _peel(rows, pool)
-        size += more
-        if size > best:
-            best = size
-        branch = []
-        rest, k = pool, 0
-        while rest:
-            k += 1
-            clique = rest
-            while clique:
-                low = clique & -clique
-                rest ^= low
-                clique &= rows[low.bit_length() - 1]
-                if size + k > best:
-                    branch.append((low, k))
-        for low, k in reversed(branch):
-            if size + k <= best or best >= goal:
-                return
-            expand(pool & ~rows[low.bit_length() - 1] & ~low, size + 1)
-            pool ^= low
-
-    expand((1 << len(rows)) - 1, 0)
+    if pool.bit_count() <= best:
+        return floor
+    greedy = _greedy_mis(adj, pool).bit_count()
+    if greedy > best:
+        best = greedy
+        if best >= goal or _clique_cover_bound(adj, pool, best) <= best:
+            return best + taken
+    rows = _relabel(adj, pool)
+    stack = [[(1 << len(rows)) - 1, 0, None]]
+    while stack:
+        node = stack[-1]
+        pool, size, branch = node
+        if branch is None:
+            more, pool = _peel(rows, pool)
+            size += more
+            if size > best:
+                best = size
+            branch = []
+            rest, k = pool, 0
+            while rest:
+                k += 1
+                clique = rest
+                while clique:
+                    low = clique & -clique
+                    rest ^= low
+                    clique &= rows[low.bit_length() - 1]
+                    if size + k > best:
+                        branch.append((low, k))
+            node[1:] = size, branch
+        if not branch or size + branch[-1][1] <= best or best >= goal:
+            stack.pop()
+            continue
+        low, _ = branch.pop()
+        node[0] = pool ^ low
+        stack.append([pool & ~rows[low.bit_length() - 1] & ~low, size + 1, None])
     return best + taken
 
 
@@ -263,7 +273,7 @@ def _max_independent(adj, pool: int) -> tuple[int, int]:
         bit = 1 << v_branch
         include = pool & ~adj[v_branch] & ~bit
         need = alpha - size - 1
-        if _clique_cover_bound(adj, include, need - 1) >= need and has_independent(adj, include, need):
+        if has_independent(adj, include, need):
             pool, acc, size = include, acc | bit, size + 1
         else:
             pool ^= bit

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import sys
@@ -170,7 +171,7 @@ def assert_matches_reference(adj, pool):
 
 def test_incremental_kernels_match_the_reference_on_random_pools():
     rng = random.Random(29)
-    for g in random_gnp_corpus(60, 1, 30, seed=31):
+    for g in [*random_gnp_corpus(60, 1, 30, seed=31), gen_cluster([3] * 20)]:
         full = (1 << g.n) - 1
         for pool in [full] + [rng.getrandbits(g.n) for _ in range(3)]:
             assert_matches_reference(g.adj, pool)
@@ -226,21 +227,44 @@ def test_value_and_decision_searches_match_the_subset_dp():
                         assert goal <= got <= alpha
 
 
-def test_witness_walk_matches_the_frozen_reference_on_a_cluster():
-    g = gen_cluster([3] * 20)
-    alpha, witness = alpha_with_witness(g)
-    assert (alpha, witness.bits) == ref_max_independent(g.adj, (1 << g.n) - 1)
-
-
 def test_long_path_and_cycle_within_the_recursion_limit():
     # the frozen search returns every even id below 2000 on both; no
     # maximum independent set of the odd cycle misses three consecutive
-    # vertices, and each vertex is missed by some such set
+    # vertices
     evens = tuple(range(0, 2000, 2))
     for g in (gen_path(2000), gen_cycle(2001)):
         assert _alpha(g.adj, (1 << g.n) - 1, 0, g.n) == 1000
         alpha, witness = alpha_with_witness(g)
         assert alpha == 1000 and witness.members() == evens
-    cycle = gen_cycle(2001)
-    assert first_missed(cycle, VertexSet.of(2001, [0, 1, 2])) is None
-    assert kernel(cycle).size == 0
+    assert first_missed(gen_cycle(2001), VertexSet.of(2001, [0, 1, 2])) is None
+
+
+def test_large_cluster_within_the_recursion_limit():
+    # nothing peels off a triangle; the greedy set meets the clique cover
+    g = gen_cluster([3] * 1000)
+    full = (1 << g.n) - 1
+    assert _alpha(g.adj, full, 0, g.n) == 1000
+    assert alpha_with_witness(g)[0] == 1000
+    # the question kernel asks for each witness vertex
+    assert has_independent(g.adj, full ^ 1, 1000)
+    assert not has_independent(g.adj, full, 1001)
+    assert first_missed(g, VertexSet.of(g.n, [0, 1, 2])) is None
+    small = gen_cluster([3] * 100)
+    assert kernel(small).size == 0
+    assert first_missed(small, VertexSet.empty(small.n)).members() == tuple(range(0, 300, 3))
+
+
+def test_value_search_keeps_its_nodes_off_the_call_stack():
+    # greedy takes 2 of the gadget's 3, so the search walks through one
+    # vertex of every triangle before it finds the larger set
+    k = 150
+    gadget = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (3, 5)]
+    edges = [(3 * i + x, 3 * i + y) for i in range(k) for x, y in ((0, 1), (0, 2), (1, 2))]
+    g = Graph.from_edges(3 * k + 6, edges + [(3 * k + u, 3 * k + v) for u, v in gadget])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        got = _alpha(g.adj, (1 << g.n) - 1, 0, g.n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == k + 3
