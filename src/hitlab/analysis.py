@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -46,9 +47,7 @@ from .hitting import (
     certificate_to_text,
     construct_hitting_set,
     min_hitting_set,
-    residual_edge_count,
     residual_edges,
-    sample_Ij,
     verify_hitting_set,
 )
 from .mis import alpha_with_witness
@@ -184,17 +183,32 @@ def monte_carlo_e(
     """Sample I_j `trials` times and measure e each time.
 
     Per-trial seeds are derived from the master seed, and samples keep
-    trial order.
+    trial order.  Each trial draws what sample_Ij draws; K and e are
+    built once per distinct I_j, as e is the outside vertices' summed
+    I-degree less that of K's.
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
     _, s_j = bin_and_select(g, i_set, sched)
-    base = i_set.bits | s_j.bits
+    k = sched.k
+    if k > i_set.size:
+        raise PreconditionError(f"cannot sample k={k} from |I|={i_set.size}")
+    i_bits = i_set.bits
+    outside = ((1 << g.n) - 1) & ~(i_bits | s_j.bits)
+    degree = {v: (g.adj[v] & i_bits).bit_count() for v in iter_bits(outside)}
+    base_e = sum(degree.values())
+    members = i_set.members()
+    e_of: dict[int, int] = {}
     samples = []
     for idx in range(trials):
-        i_j = sample_Ij(i_set, sched.k, derive_seed(seed, idx, "mc-e"))
-        k_set = build_K(g, i_j, sched.s, sched.t)
-        samples.append(residual_edge_count(g, i_set.bits, base | k_set.bits))
+        i_j = 0
+        for v in random.Random(derive_seed(seed, idx, "mc-e")).sample(members, k):
+            i_j |= 1 << v
+        e = e_of.get(i_j)
+        if e is None:
+            k_bits = build_K(g, VertexSet(g.n, i_j), sched.s, sched.t).bits & outside
+            e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
+        samples.append(e)
     mean = sum(samples) / trials
     std_error = statistics.stdev(samples) / math.sqrt(trials) if trials > 1 else 0.0
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
@@ -394,7 +408,7 @@ def _run_cell(label, builder, n, seed, schedule_raw, caps) -> ExperimentRecord:
                     "hitting set failed verification\n" + certificate_to_text(cert)
                 )
         if g.n <= int(caps["minhit_n"]):
-            rec.h_exact = clock("minhit", lambda: min_hitting_set(g, cap=enum_cap))[0]
+            rec.h_exact = clock("minhit", lambda: min_hitting_set(g))[0]
     except VerificationFailure:
         raise
     except HitlabError as ex:

@@ -214,7 +214,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_minhit(args) -> int:
     g = _load(args)
-    size, witness = min_hitting_set(g, cap=args.cap)
+    size, witness = min_hitting_set(g)
     print(size)
     print(f"witness: {_ids(witness)}")
     return 0
@@ -352,7 +352,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("minhit", help="exact minimum hitting set size")
     _add_graph_arg(p)
-    p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT)
     p.set_defaults(run=_cmd_minhit)
 
     p = subs.add_parser("sample-hit", help="uniform p-subset hitting trials")

@@ -10,8 +10,11 @@ T = H ∪ N_R(H) ∪ S_j.  Validity of T never depends on the sample seed;
 only |T| does.  Every run yields a replayable HittingCertificate.
 
 Also here: the exact minimum hitting set (the oracle the construction is
-sandwiched against), uniform-sampling search with its union bound, and
-the budget / size-bound arithmetic used to audit the averaging step.
+sandwiched against), an implicit hitting set loop that covers a growing
+subfamily of maximum independent sets and asks the alpha oracle for the
+next one missed, so the family is never listed; uniform-sampling search
+with its union bound; and the budget / size-bound arithmetic used to
+audit the averaging step.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from .errors import (
 )
 from .graph import Graph, InducedEmbedding, VertexSet, find_independent_subset, iter_bits, min_degree_vertex
 from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
-from .mis import ENUM_CAP_DEFAULT, alpha_with_witness, enumerate_mis, first_missed, independence_check
+from .mis import ENUM_CAP_DEFAULT, _alpha, _first_missed, _full_pool, alpha_with_witness, count_mis
+from .mis import first_missed, has_independent, independence_check
+from .mis import enumerate_mis  # noqa: F401  unused here; the traced benchmark wraps hitting.enumerate_mis
 
 MODE_LOW_DEGREE = "low-degree"
 MODE_SAMPLED_CORE = "sampled-core"
@@ -373,88 +378,78 @@ def _disjoint_lower_bound(edges: list[int], pool: int) -> int:
     return count
 
 
-def _exists_cover(edges: list[int], budget: int, pool: int) -> bool:
+def _cover(edges: list[int], budget: int, pool: int) -> Optional[int]:
+    """Bits of at most `budget` pool vertices meeting every edge, or None.
+
+    Branches on the edge with fewest usable vertices, trying them in id
+    order and dropping each one tried from the later branches.
+    """
     if not edges:
-        return True
-    if budget <= 0:
-        return False
-    if _disjoint_lower_bound(edges, pool) > budget:
-        return False
-    # branch on the edge with fewest usable vertices
+        return 0
+    if budget <= 0 or _disjoint_lower_bound(edges, pool) > budget:
+        return None
     best = None
     for e in edges:
         ep = e & pool
         c = ep.bit_count()
-        if c == 0:
-            return False
         if best is None or c < best.bit_count():
             best = ep
             if c == 1:
                 break
-    removed = 0
     for v in iter_bits(best):
         bit = 1 << v
-        rest = [e for e in edges if e & bit == 0]
-        if _exists_cover(rest, budget - 1, pool & ~removed & ~bit):
-            return True
-        removed |= bit
-    return False
+        pool &= ~bit
+        found = _cover([e for e in edges if not e & bit], budget - 1, pool)
+        if found is not None:
+            return found | bit
+    return None
 
 
-def _greedy_cover(edges: list[int], n: int) -> int:
-    covered_mask = 0
-    left = edges
-    out = 0
-    while left:
-        best_v, best_c = 0, -1
-        for v in range(n):
-            bit = 1 << v
-            if covered_mask & bit:
-                continue
-            c = sum(1 for e in left if e & bit)
-            if c > best_c:
-                best_v, best_c = v, c
-        covered_mask |= 1 << best_v
-        out += 1
-        left = [e for e in left if e & (1 << best_v) == 0]
-    return out
-
-
-def min_hitting_set(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> tuple[int, VertexSet]:
+def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
     """h(g) with the lexicographically least minimum hitting set.
 
-    Branch and bound over the maximum-independent-set hyperedges; the
-    witness is rebuilt greedily, fixing the smallest feasible vertex at
-    each position.
+    An implicit hitting set loop over the alpha oracle; the family of
+    maximum independent sets is never listed.  `feasible(prefix, budget,
+    pool)` asks whether prefix plus at most `budget` pool vertices meets
+    every maximum independent set: it covers a growing subfamily of
+    them with `_cover`, asks the oracle for the canonical maximum
+    independent set that prefix plus the cover misses, adds it and
+    repeats.  It answers no once the subfamily has no cover, and yes
+    once nothing is missed.  Both answers are exact,
+    since every subfamily set is a real maximum independent set and
+    "nothing missed" is alpha(G - T) < alpha(G), so the subfamily
+    persists across calls.  The size is the least feasible budget.  The
+    witness fixes, position by position, the smallest vertex v after the
+    last one fixed for which the prefix plus v stays feasible with the
+    vertices above v.  That is the test the full-family search made, so
+    the witness is the same lex-least set.
     """
-    fam = enumerate_mis(g, cap=cap)
-    edges = [vs.bits for vs in fam.sets]
-    full = (1 << g.n) - 1
-    lb = _disjoint_lower_bound(edges, full)
-    ub = _greedy_cover(edges, g.n)
-    size = lb
-    while size < ub and not _exists_cover(edges, size, full):
+    adj, full = g.adj, _full_pool(g)
+    alpha = _alpha(adj, full, 0, g.n)
+    family: list[int] = []
+
+    def feasible(prefix: int, budget: int, pool: int) -> bool:
+        while True:
+            cover = _cover([e for e in family if not e & prefix], budget, pool)
+            if cover is None:
+                return False
+            missed = _first_missed(adj, full & ~(prefix | cover), alpha)
+            if missed is None:
+                return True
+            family.append(missed)
+
+    size = 0
+    while not feasible(0, size, full):
         size += 1
-    chosen: list[int] = []
-    uncovered = edges
-    start = 0
-    budget = size
-    while uncovered:
+    chosen, start = 0, 0
+    for budget in range(size, 0, -1):
         for v in range(start, g.n):
             bit = 1 << v
-            if not any(e & bit for e in uncovered):
-                continue
-            rest = [e for e in uncovered if e & bit == 0]
-            tail_pool = full & ~((bit << 1) - 1)
-            if _exists_cover(rest, budget - 1, tail_pool):
-                chosen.append(v)
-                uncovered = rest
-                budget -= 1
-                start = v + 1
+            if feasible(chosen | bit, budget - 1, full & ~((bit << 1) - 1)):
                 break
-        else:
-            raise AssertionError("lex reconstruction lost feasibility")
-    return size, VertexSet.of(g.n, chosen)
+        chosen |= bit
+        start = v + 1
+    return size, VertexSet(g.n, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +490,15 @@ class SampleHitResult:
 def sample_hitting_set(
     g: Graph, p: int, seed: int, trials: int, cap: int = ENUM_CAP_DEFAULT
 ) -> SampleHitResult:
+    """`trials` uniform p-subsets, each a hit iff alpha(G - T) < alpha(G).
+    The union bound needs the family's size, counted below `cap`."""
     if not 0 <= p <= g.n:
         raise PreconditionError(f"sample size p={p} outside 0..{g.n}")
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
-    fam = enumerate_mis(g, cap=cap)
-    union_bound = fam.count * (1.0 - p / g.n) ** fam.alpha
+    alpha, count = count_mis(g, cap)
+    union_bound = count * (1.0 - p / g.n) ** alpha
+    full = (1 << g.n) - 1
     rng = random.Random(seed)
     ids = range(g.n)
     fails = 0
@@ -510,12 +508,10 @@ def sample_hitting_set(
         bits = 0
         for v in rng.sample(ids, p):
             bits |= 1 << v
-        cand = VertexSet(g.n, bits)
-        if fam.all_hit(cand):
-            if hit is None:
-                hit, hit_trial = cand, i
-        else:
+        if has_independent(g.adj, full & ~bits, alpha):
             fails += 1
+        elif hit is None:
+            hit, hit_trial = VertexSet(g.n, bits), i
     return SampleHitResult(
         hit=hit,
         hit_trial=hit_trial,

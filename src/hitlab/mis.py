@@ -11,7 +11,9 @@ witness walk `_max_independent` returns the maximum independent set a
 frozen branch and bound reaches first, which certificates and the CLI's
 `witness:` line pin.  first_missed and kernel decide "t meets every
 maximum independent set" by alpha(G - t) < alpha(G) with the decision
-search at any n; enumerate_mis lists the whole family below a cap.
+search at any n, and the minimum hitting set asks _first_missed with
+alpha pinned once.  enumerate_mis lists the whole family below a cap and
+count_mis counts it in O(n) memory, both from one DFS, _iter_mis.
 
 Why the walk reproduces the frozen search: that search keeps its greedy
 incumbent unless a leaf is strictly larger, so its answer is the greedy
@@ -26,14 +28,14 @@ leaf.  The greedy incumbent keeps pool degrees in buckets and the clique
 cover is built one clique at a time; both give what a full rescan and a
 first-fit cover would (the test suite keeps those plain versions and the
 frozen search as references).
-enumerate_mis cuts with the same cover; a cut subtree holds no maximum
-set, so the family and its canonical order do not change.
+_iter_mis cuts with the same cover; a cut subtree holds no maximum set,
+so the family and its canonical order do not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import EnumerationCapError, PreconditionError
 from .graph import Graph, VertexSet, iter_bits
@@ -292,14 +294,11 @@ def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
     return size, VertexSet(g.n, bits)
 
 
-def first_missed(g: Graph, t: VertexSet) -> Optional[VertexSet]:
-    """First maximum independent set disjoint from t in canonical order,
-    or None iff alpha(G - t) < alpha(G).  Rebuilt smallest id first: v
-    joins iff the pool left after taking it holds the remaining size."""
-    adj = g.adj
-    full = _full_pool(g)
-    alpha = _alpha(adj, full, 0, g.n)
-    pool = full & ~t.bits
+def _first_missed(adj, pool: int, alpha: int) -> Optional[int]:
+    """Bits of the first independent set of `alpha` vertices inside the
+    pool in canonical order, or None if the pool holds none.  Rebuilt
+    smallest id first: v joins iff the pool left after taking it holds
+    the remaining size."""
     if not has_independent(adj, pool, alpha):
         return None
     acc, need = 0, alpha
@@ -313,37 +312,56 @@ def first_missed(g: Graph, t: VertexSet) -> Optional[VertexSet]:
             pool = rest
         else:
             pool ^= low
-    return VertexSet(g.n, acc)
+    return acc
+
+
+def first_missed(g: Graph, t: VertexSet) -> Optional[VertexSet]:
+    """First maximum independent set disjoint from t in canonical order,
+    or None iff alpha(G - t) < alpha(G)."""
+    full = _full_pool(g)
+    bits = _first_missed(g.adj, full & ~t.bits, _alpha(g.adj, full, 0, g.n))
+    return None if bits is None else VertexSet(g.n, bits)
+
+
+def _iter_mis(adj, pool: int, alpha: int) -> Iterator[int]:
+    """Bits of every independent set of `alpha` vertices inside the pool,
+    in canonical order: a DFS over ascending ids, include side first,
+    that leaves a subtree once a clique cover of its pool is smaller
+    than the members still needed.  The open nodes sit on a stack, so
+    memory stays O(n) whatever the family's size."""
+    stack = [(pool, 0, 0)]
+    while stack:
+        pool, acc, size = stack.pop()
+        need = alpha - size
+        if not need:
+            yield acc
+        elif _clique_cover_bound(adj, pool, need - 1) >= need:
+            low = pool & -pool
+            stack.append((pool ^ low, acc, size))
+            stack.append((pool & ~adj[low.bit_length() - 1] & ~low, acc | low, size + 1))
+
+
+def _capped_alpha(g: Graph, cap: int) -> int:
+    """alpha(g), refusing graphs above `cap` to keep accidental
+    exponential listings loud."""
+    if g.n > cap:
+        raise EnumerationCapError(f"n={g.n} exceeds enumeration cap {cap}")
+    return _alpha(g.adj, _full_pool(g), 0, g.n)
 
 
 def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
-    """Complete family of maximum independent sets.
+    """Complete family of maximum independent sets, in canonical order,
+    for graphs of at most `cap` vertices."""
+    alpha = _capped_alpha(g, cap)
+    sets = tuple(VertexSet(g.n, b) for b in _iter_mis(g.adj, (1 << g.n) - 1, alpha))
+    return MisFamily(host_n=g.n, alpha=alpha, sets=sets)
 
-    Pins alpha first, then DFS over ascending vertex ids emitting exactly
-    the independent sets of that size, leaving a subtree once a clique
-    cover of its pool is smaller than the members still needed; refuses
-    graphs above `cap` to keep accidental exponential blowups loud.
-    """
-    if g.n > cap:
-        raise EnumerationCapError(f"n={g.n} exceeds enumeration cap {cap}")
-    adj = g.adj
-    alpha = _alpha(adj, _full_pool(g), 0, g.n)
-    out: list[int] = []
 
-    def rec(pool: int, acc_bits: int, acc_size: int) -> None:
-        if acc_size == alpha:
-            out.append(acc_bits)
-            return
-        need = alpha - acc_size
-        if _clique_cover_bound(adj, pool, need - 1) < need:
-            return
-        low = pool & -pool
-        v = low.bit_length() - 1
-        rec(pool & ~adj[v] & ~low, acc_bits | low, acc_size + 1)
-        rec(pool ^ low, acc_bits, acc_size)
-
-    rec((1 << g.n) - 1, 0, 0)
-    return MisFamily(host_n=g.n, alpha=alpha, sets=tuple(VertexSet(g.n, b) for b in out))
+def count_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> tuple[int, int]:
+    """(alpha, number of maximum independent sets), counted without
+    holding the family, for graphs of at most `cap` vertices."""
+    alpha = _capped_alpha(g, cap)
+    return alpha, sum(1 for _ in _iter_mis(g.adj, (1 << g.n) - 1, alpha))
 
 
 def kernel(g: Graph) -> VertexSet:

@@ -11,6 +11,12 @@ must give the same incumbent, the same cover decisions and so the same
 search tree, alpha and witness, and the witness walk must reach the
 leaf this search returns.  ref_bin_and_select is the original scan of
 every bin for every outside vertex.
+
+ref_min_hitting_set, ref_sample_hitting_set and ref_monte_carlo_e are
+the original solvers over the listed family of maximum independent sets
+and the original one-build_K-per-trial Monte Carlo loop, kept verbatim:
+the implicit hitting set loop, the count-only sampler and the cached
+Monte Carlo loop must give the same results.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hitlab.analysis import derive_seed
 from hitlab.graph import Graph, VertexSet, gen_gnp, iter_bits
+from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count, sample_Ij
+from hitlab.mis import enumerate_mis
 
 # outer C5, inner pentagram, spokes
 PETERSEN_EDGES = [
@@ -205,3 +214,136 @@ def ref_bin_and_select(g: Graph, i_set: VertexSet, sched) -> tuple[int, VertexSe
         if masks[idx].bit_count() < masks[best].bit_count():
             best = idx
     return best + 1, VertexSet(g.n, masks[best])
+
+
+def _ref_disjoint_lower_bound(edges: list[int], pool: int) -> int:
+    used = 0
+    count = 0
+    for e in edges:
+        ep = e & pool
+        if ep == 0:
+            return 1 << 30
+        if ep & used == 0:
+            used |= ep
+            count += 1
+    return count
+
+
+def _ref_exists_cover(edges: list[int], budget: int, pool: int) -> bool:
+    if not edges:
+        return True
+    if budget <= 0:
+        return False
+    if _ref_disjoint_lower_bound(edges, pool) > budget:
+        return False
+    # branch on the edge with fewest usable vertices
+    best = None
+    for e in edges:
+        ep = e & pool
+        c = ep.bit_count()
+        if c == 0:
+            return False
+        if best is None or c < best.bit_count():
+            best = ep
+            if c == 1:
+                break
+    removed = 0
+    for v in iter_bits(best):
+        bit = 1 << v
+        rest = [e for e in edges if e & bit == 0]
+        if _ref_exists_cover(rest, budget - 1, pool & ~removed & ~bit):
+            return True
+        removed |= bit
+    return False
+
+
+def _ref_greedy_cover(edges: list[int], n: int) -> int:
+    covered_mask = 0
+    left = edges
+    out = 0
+    while left:
+        best_v, best_c = 0, -1
+        for v in range(n):
+            bit = 1 << v
+            if covered_mask & bit:
+                continue
+            c = sum(1 for e in left if e & bit)
+            if c > best_c:
+                best_v, best_c = v, c
+        covered_mask |= 1 << best_v
+        out += 1
+        left = [e for e in left if e & (1 << best_v) == 0]
+    return out
+
+
+def ref_min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
+    fam = enumerate_mis(g)
+    edges = [vs.bits for vs in fam.sets]
+    full = (1 << g.n) - 1
+    lb = _ref_disjoint_lower_bound(edges, full)
+    ub = _ref_greedy_cover(edges, g.n)
+    size = lb
+    while size < ub and not _ref_exists_cover(edges, size, full):
+        size += 1
+    chosen: list[int] = []
+    uncovered = edges
+    start = 0
+    budget = size
+    while uncovered:
+        for v in range(start, g.n):
+            bit = 1 << v
+            if not any(e & bit for e in uncovered):
+                continue
+            rest = [e for e in uncovered if e & bit == 0]
+            tail_pool = full & ~((bit << 1) - 1)
+            if _ref_exists_cover(rest, budget - 1, tail_pool):
+                chosen.append(v)
+                uncovered = rest
+                budget -= 1
+                start = v + 1
+                break
+        else:
+            raise AssertionError("lex reconstruction lost feasibility")
+    return size, VertexSet.of(g.n, chosen)
+
+
+def ref_sample_hitting_set(g: Graph, p: int, seed: int, trials: int) -> SampleHitResult:
+    fam = enumerate_mis(g)
+    union_bound = fam.count * (1.0 - p / g.n) ** fam.alpha
+    rng = random.Random(seed)
+    ids = range(g.n)
+    fails = 0
+    hit = None
+    hit_trial = None
+    for i in range(trials):
+        bits = 0
+        for v in rng.sample(ids, p):
+            bits |= 1 << v
+        cand = VertexSet(g.n, bits)
+        if fam.all_hit(cand):
+            if hit is None:
+                hit, hit_trial = cand, i
+        else:
+            fails += 1
+    return SampleHitResult(
+        hit=hit,
+        hit_trial=hit_trial,
+        fail_rate=fails / trials,
+        union_bound=union_bound,
+        trials=trials,
+        p=p,
+        seed=seed,
+    )
+
+
+def ref_monte_carlo_e(g: Graph, i_set: VertexSet, sched, trials: int, seed: int) -> tuple[int, ...]:
+    """The samples of the original loop: sample_Ij, build_K and a full
+    recount of e in every trial."""
+    _, s_j = bin_and_select(g, i_set, sched)
+    base = i_set.bits | s_j.bits
+    samples = []
+    for idx in range(trials):
+        i_j = sample_Ij(i_set, sched.k, derive_seed(seed, idx, "mc-e"))
+        k_set = build_K(g, i_j, sched.s, sched.t)
+        samples.append(residual_edge_count(g, i_set.bits, base | k_set.bits))
+    return tuple(samples)

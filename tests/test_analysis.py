@@ -3,6 +3,7 @@ Monte Carlo determinism, config plumbing, CSV schema."""
 
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,7 +36,12 @@ from hitlab.analysis import (
     derive_seed,
     resolve_schedule,
 )
-from hitlab.hitting import bin_and_select
+from hitlab import analysis
+from hitlab.errors import FreenessViolationError
+from hitlab.graph import gen_c4_free_process
+from hitlab.hitting import bin_and_select, build_K
+from hitlab.mis import alpha_with_witness
+from helpers import ref_monte_carlo_e
 
 P10_SCHED = ParamSchedule(s=2, t=2, delta=0.15, k=2, bins=((2.0, 3.0), (1.0, 2.0)))
 
@@ -281,6 +287,36 @@ class TestMonteCarloE:
     def test_needs_a_trial(self):
         with pytest.raises(PreconditionError, match="at least one trial"):
             monte_carlo_e(gen_path(10), i_of(10, [0, 2, 4, 6, 8]), P10_SCHED, 0, 1)
+
+    def test_sample_larger_than_I(self):
+        sched = ParamSchedule(s=2, t=2, delta=0.15, k=3, bins=((1.0, 2.0),))
+        with pytest.raises(PreconditionError, match=r"cannot sample k=3 from \|I\|=2"):
+            monte_carlo_e(gen_path(10), i_of(10, [0, 2]), sched, 5, 1)
+
+    @pytest.mark.parametrize("s,t,k", [(2, 2, 2), (1, 2, 3), (2, 3, 4), (2, 2, 5)])
+    def test_samples_match_the_per_trial_loop(self, s, t, k):
+        # K and e built once per distinct I_j give the samples of one
+        # build_K per trial, and a freeness violation raises the same way
+        for m_frac, seed in ((0.1, 0), (0.2, 1)):
+            g = gen_c4_free_process(40, round(m_frac * 40 * 39 / 2), seed)
+            _, i_set = alpha_with_witness(g)
+            sched = resolve_schedule(g, {"mode": "auto", "s": s, "t": t, "k": k})
+            try:
+                want = ref_monte_carlo_e(g, i_set, sched, 600, 7 + seed)
+            except FreenessViolationError as ex:
+                with pytest.raises(FreenessViolationError, match=re.escape(str(ex))):
+                    monte_carlo_e(g, i_set, sched, 600, 7 + seed)
+                continue
+            assert monte_carlo_e(g, i_set, sched, 600, 7 + seed).samples == want
+
+    def test_builds_K_once_per_distinct_sample(self, monkeypatch):
+        g = gen_c4_free_process(40, 78, 0)
+        _, i_set = alpha_with_witness(g)
+        sched = resolve_schedule(g, {"mode": "auto", "s": 2, "t": 2, "k": 2})
+        built = []
+        monkeypatch.setattr(analysis, "build_K", lambda g, i_j, s, t: built.append(i_j) or build_K(g, i_j, s, t))
+        monte_carlo_e(g, i_set, sched, 500, 3)
+        assert len(built) == len(set(built)) < 500
 
 
 class TestHighDegreeRegime:

@@ -371,6 +371,18 @@ class TestMinhit:
         assert code == 0
         assert out == "3\nwitness: 0 1 2\n"
 
+    def test_answers_beyond_the_enumeration_cap(self, capsys, tmp_path):
+        # 20 disjoint triangles (3^20 maximum independent sets) and C_61
+        for name, g in (("k3x20.el", gen_cluster([3] * 20)), ("c61.el", gen_cycle(61))):
+            code, out, _ = cli(capsys, "minhit", "--graph", write_graph(tmp_path, name, g))
+            assert code == 0
+            assert out == "3\nwitness: 0 1 2\n"
+
+    def test_cap_is_no_longer_an_option(self, capsys, c5_path):
+        code, _, err = cli(capsys, "minhit", "--graph", c5_path, "--cap", "5")
+        assert code == 1
+        assert err.startswith("error:usage:")
+
 
 class TestSampleHit:
     def test_full_set_always_hits(self, capsys, c5_path):

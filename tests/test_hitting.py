@@ -15,7 +15,7 @@ from hitlab.errors import (
     PreconditionError,
     VerificationFailure,
 )
-from hitlab.graph import VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_path
+from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_path
 from hitlab.hitting import (
     MODE_LOW_DEGREE,
     MODE_SAMPLED_CORE,
@@ -42,7 +42,13 @@ from hitlab.hitting import (
     verify_hitting_set,
 )
 from hitlab.mis import alpha_with_witness, enumerate_mis
-from helpers import brute_min_hitting, random_gnp_corpus, ref_bin_and_select
+from helpers import (
+    brute_min_hitting,
+    random_gnp_corpus,
+    ref_bin_and_select,
+    ref_min_hitting_set,
+    ref_sample_hitting_set,
+)
 
 UNIT_BIN = ((1.0, 2.0),)
 
@@ -382,7 +388,32 @@ class TestMinHittingSet:
             assert witness == best
 
 
+    def test_matches_the_enumeration_solver(self):
+        graphs = random_gnp_corpus(40, 4, 12, seed=5)
+        # on these two the first minimum cover the search finds is not the
+        # lex-least one
+        graphs += [random_gnp_corpus(40, 4, 12, seed=18)[10], random_gnp_corpus(40, 4, 12, seed=37)[5]]
+        graphs += [gen_cluster(sizes) for sizes in ([4] * 6, [5] * 5, [6] * 4, [2, 3, 4, 5, 6])]
+        graphs += [gen_cluster([2] * (n // 2)) for n in (22, 24, 26)]
+        graphs += [gen_cluster([3] * (n // 3)) for n in (21, 24, 27)]
+        graphs += [gen_cycle(25)] + [gen_path(n) for n in (20, 24, 28)]
+        for m_frac in (0.1, 0.2):
+            for n in (24, 30):
+                graphs += [gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), s) for s in (0, 1)]
+        for g in graphs:
+            assert min_hitting_set(g) == ref_min_hitting_set(g)
+
+    def test_empty_graph_is_a_precondition(self):
+        with pytest.raises(PreconditionError, match="empty graph"):
+            min_hitting_set(Graph.from_edges(0, []))
+
+
 class TestSampleHittingSet:
+    def test_matches_the_listing_sampler(self):
+        for i, g in enumerate(random_gnp_corpus(40, 4, 12, seed=6)):
+            for p in sorted({0, 1, g.n // 3, g.n // 2, g.n}):
+                assert sample_hitting_set(g, p, i, 25) == ref_sample_hitting_set(g, p, i, 25)
+
     def test_c5_deterministic(self, c5):
         a = sample_hitting_set(c5, 3, seed=5, trials=20)
         b = sample_hitting_set(c5, 3, seed=5, trials=20)
