@@ -40,6 +40,7 @@ from .graph import (
     gen_path,
 )
 from .hitting import (
+    ParamSchedule,
     asymptotic_schedule,
     certificate_from_text,
     certificate_to_text,
@@ -101,6 +102,17 @@ def _parse_id_list(raw: str, n: int) -> VertexSet:
         if not 0 <= v < n:
             raise PreconditionError(f"vertex {v} out of range 0..{n - 1}")
     return VertexSet.of(n, ids)
+
+
+def _schedule(g: Graph, args) -> ParamSchedule:
+    """The schedule `hit` and `mc-e` name by --schedule, --s, --t, --k,
+    --delta and --theta."""
+    raw = {"mode": args.schedule, "s": args.s, "t": args.t, "k": args.k}
+    if args.delta is not None:
+        raw["delta"] = args.delta
+    if args.theta:
+        raw["bins"] = [list(pair) for pair in _parse_theta(args.theta)]
+    return resolve_schedule(g, raw)
 
 
 def _write_or_print(text: str, out_path) -> None:
@@ -182,14 +194,9 @@ def _cmd_mis(args) -> int:
 
 def _cmd_hit(args) -> int:
     g = _load(args)
-    raw = {"mode": args.schedule, "s": args.s, "t": args.t, "k": args.k}
-    if args.delta is not None:
-        raw["delta"] = args.delta
-    if args.theta:
-        raw["bins"] = [list(pair) for pair in _parse_theta(args.theta)]
-    elif args.schedule == "explicit":
+    if args.schedule == "explicit" and not args.theta:
         raise _UsageError("explicit schedule needs at least one --theta lo:hi")
-    sched = resolve_schedule(g, raw)
+    sched = _schedule(g, args)
     cert = construct_hitting_set(g, sched, args.seed, allow_trivial=args.allow_trivial)
     _write_or_print(certificate_to_text(cert), args.out)
     return 0
@@ -266,12 +273,7 @@ def _cmd_prob(args) -> int:
 
 def _cmd_mc_e(args) -> int:
     g = _load(args)
-    raw = {"mode": args.schedule, "s": args.s, "t": args.t, "k": args.k}
-    if args.delta is not None:
-        raw["delta"] = args.delta
-    if args.theta:
-        raw["bins"] = [list(pair) for pair in _parse_theta(args.theta)]
-    sched = resolve_schedule(g, raw)
+    sched = _schedule(g, args)
     alpha, i_set = alpha_with_witness(g)
     if sched.k > alpha:
         raise PreconditionError(f"sample size k={sched.k} exceeds alpha={alpha}")

@@ -151,9 +151,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.adj[v]))
 
@@ -168,12 +165,6 @@ class Graph:
             for off in iter_bits(rest):
                 out.append((u, u + 1 + off))
         return out
-
-    def vertex_set(self, ids: Iterable[int]) -> VertexSet:
-        return VertexSet.of(self.n, ids)
-
-    def full_set(self) -> VertexSet:
-        return VertexSet.full(self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -303,30 +294,12 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
 
 def find_independent_subset(g: Graph, candidates: int, size: int) -> Optional[int]:
     """First (lexicographically earliest) independent `size`-subset of the
-    candidate mask, as a mask, or None if none exists."""
-    if size == 0:
-        return 0
-    if candidates.bit_count() < size:
-        return None
-    adj = g.adj
+    candidate mask, as a mask, or None if none exists: the first set of
+    the canonical walk `mis._independent_sets`, so no pool meets the
+    recursion limit."""
+    from . import mis  # mis imports this module
 
-    # DFS over ascending vertex ids; each chosen vertex restricts the pool
-    # to its non-neighbors above it.
-    def rec(pool: int, need: int, acc: int) -> Optional[int]:
-        if need == 0:
-            return acc
-        while pool:
-            if pool.bit_count() < need:
-                return None
-            low = pool & -pool
-            v = low.bit_length() - 1
-            pool ^= low
-            got = rec(pool & ~adj[v], need - 1, acc | low)
-            if got is not None:
-                return got
-        return None
-
-    return rec(candidates, size, 0)
+    return next(mis._independent_sets(g.adj, candidates, size), None)
 
 
 def find_induced_kst(g: Graph, s: int, t: int) -> Optional[InducedEmbedding]:

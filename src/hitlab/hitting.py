@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graph import Graph, InducedEmbedding, VertexSet, find_independent_subset, iter_bits, min_degree_vertex
 from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
-from .mis import ENUM_CAP_DEFAULT, _alpha, _first_missed, _full_pool, alpha_with_witness, count_mis
+from .mis import ENUM_CAP_DEFAULT, _alpha, _full_pool, _independent_sets, alpha_with_witness, count_mis
 from .mis import first_missed, has_independent, independence_check
 from .mis import enumerate_mis  # noqa: F401  unused here; the traced benchmark wraps hitting.enumerate_mis
 
@@ -433,7 +433,7 @@ def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
             cover = _cover([e for e in family if not e & prefix], budget, pool)
             if cover is None:
                 return False
-            missed = _first_missed(adj, full & ~(prefix | cover), alpha)
+            missed = next(_independent_sets(adj, full & ~(prefix | cover), alpha), None)
             if missed is None:
                 return True
             family.append(missed)

@@ -1,6 +1,6 @@
 """Exact maximum-independent-set machinery.
 
-Three searches, each answering one question.  The value search
+Four searches, each answering one question.  The value search
 `_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
 search `has_independent(adj, pool, target)` is built on it; since only a
 number leaves them, they peel pool vertices of degree at most 1, stop
@@ -9,27 +9,28 @@ relabel by degree and branch in colour order (MCS on the complement)
 from an explicit stack, so no input size meets the recursion limit.  The
 witness walk `_max_independent` returns the maximum independent set a
 frozen branch and bound reaches first, which certificates and the CLI's
-`witness:` line pin.  first_missed and kernel decide "t meets every
-maximum independent set" by alpha(G - t) < alpha(G) with the decision
-search at any n, and the minimum hitting set asks _first_missed with
-alpha pinned once.  enumerate_mis lists the whole family below a cap and
-count_mis counts it in O(n) memory, both from one DFS, _iter_mis.
+`witness:` line pin.  kernel decides "t meets every maximum independent
+set" by alpha(G - t) < alpha(G) with the decision search at any n.  The
+canonical walk `_independent_sets(adj, pool, size)` yields every
+independent `size`-set of a pool in canonical order and opens a node
+only when the decision search says it holds a set: first_missed, the
+minimum hitting set's oracle and graph.find_independent_subset take its
+first set, and enumerate_mis (below a cap) and count_mis (in O(n)
+memory) run it out.
 
-Why the walk reproduces the frozen search: that search keeps its greedy
-incumbent unless a leaf is strictly larger, so its answer is the greedy
-set when that has size alpha (always so when it matches the id-order
-clique cover, as on clusters and paths) and otherwise its first leaf of
-size alpha in depth-first order.  Forced inclusions keep alpha and the
-include and exclude branches split the pool's independent sets, so the
-include subtree holds a leaf of size alpha iff the include pool holds an
-independent set of the remaining size.  The walk asks the decision
-search exactly that at each branch vertex and goes straight to that
-leaf.  The greedy incumbent keeps pool degrees in buckets and the clique
-cover is built one clique at a time; both give what a full rescan and a
-first-fit cover would (the test suite keeps those plain versions and the
-frozen search as references).
-_iter_mis cuts with the same cover; a cut subtree holds no maximum set,
-so the family and its canonical order do not change.
+Why the witness walk reproduces the frozen search: that search keeps
+its greedy incumbent unless a leaf is strictly larger, so its answer is
+the greedy set when that has size alpha (always so when it matches the
+id-order clique cover, as on clusters and paths) and otherwise its
+first leaf of size alpha in depth-first order.  Forced inclusions keep
+alpha and the include and exclude branches split the pool's independent
+sets, so the include subtree holds a leaf of size alpha iff the include
+pool holds an independent set of the remaining size.  The witness walk
+asks the decision search exactly that at each branch vertex and goes
+straight to that leaf.  The greedy incumbent keeps pool degrees in
+buckets and the clique cover is built one clique at a time; both give
+what a full rescan and a first-fit cover would (the test suite keeps
+those plain versions and the frozen search as references).
 """
 
 from __future__ import annotations
@@ -236,7 +237,11 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
 
 def has_independent(adj, pool: int, target: int) -> bool:
     """True iff the pool holds an independent set of `target` vertices."""
-    return _alpha(adj, pool, target - 1, target) >= target
+    # the canonical walk asks at every step, often of a target of 0 or
+    # of a pool smaller than the target; neither needs a search
+    if target <= 0:
+        return True
+    return pool.bit_count() >= target and _alpha(adj, pool, target - 1, target) >= target
 
 
 def _max_independent(adj, pool: int) -> tuple[int, int]:
@@ -294,51 +299,40 @@ def alpha_with_witness(g: Graph) -> tuple[int, VertexSet]:
     return size, VertexSet(g.n, bits)
 
 
-def _first_missed(adj, pool: int, alpha: int) -> Optional[int]:
-    """Bits of the first independent set of `alpha` vertices inside the
-    pool in canonical order, or None if the pool holds none.  Rebuilt
-    smallest id first: v joins iff the pool left after taking it holds
-    the remaining size."""
-    if not has_independent(adj, pool, alpha):
-        return None
-    acc, need = 0, alpha
-    while need:
-        low = pool & -pool
-        v = low.bit_length() - 1
-        rest = pool & ~adj[v] & ~low
-        if has_independent(adj, rest, need - 1):
-            acc |= low
-            need -= 1
-            pool = rest
-        else:
+def _independent_sets(adj, pool: int, size: int) -> Iterator[int]:
+    """Bits of every independent set of `size` vertices inside the pool,
+    in canonical order: ascending ids, include side first.
+
+    A node is opened only when the decision search says its pool holds
+    the members still needed, so every descent ends in a set.  The first
+    set costs one decision call for the pool and one per vertex tried.
+    Each later set costs one call per vertex tried on its descent (at
+    most n) plus one per exclude node reopened, and each descent leaves
+    at most `size` of those: about 2n calls per set.  Open nodes sit on
+    a stack of at most size + 1 entries, so no pool meets the recursion
+    limit.
+    """
+    stack = [(pool, 0, size)]
+    while stack:
+        pool, acc, need = stack.pop()
+        if not has_independent(adj, pool, need):
+            continue
+        while need:
+            low = pool & -pool
             pool ^= low
-    return acc
+            rest = pool & ~adj[low.bit_length() - 1]
+            if has_independent(adj, rest, need - 1):
+                stack.append((pool, acc, need))
+                pool, acc, need = rest, acc | low, need - 1
+        yield acc
 
 
 def first_missed(g: Graph, t: VertexSet) -> Optional[VertexSet]:
     """First maximum independent set disjoint from t in canonical order,
     or None iff alpha(G - t) < alpha(G)."""
     full = _full_pool(g)
-    bits = _first_missed(g.adj, full & ~t.bits, _alpha(g.adj, full, 0, g.n))
+    bits = next(_independent_sets(g.adj, full & ~t.bits, _alpha(g.adj, full, 0, g.n)), None)
     return None if bits is None else VertexSet(g.n, bits)
-
-
-def _iter_mis(adj, pool: int, alpha: int) -> Iterator[int]:
-    """Bits of every independent set of `alpha` vertices inside the pool,
-    in canonical order: a DFS over ascending ids, include side first,
-    that leaves a subtree once a clique cover of its pool is smaller
-    than the members still needed.  The open nodes sit on a stack, so
-    memory stays O(n) whatever the family's size."""
-    stack = [(pool, 0, 0)]
-    while stack:
-        pool, acc, size = stack.pop()
-        need = alpha - size
-        if not need:
-            yield acc
-        elif _clique_cover_bound(adj, pool, need - 1) >= need:
-            low = pool & -pool
-            stack.append((pool ^ low, acc, size))
-            stack.append((pool & ~adj[low.bit_length() - 1] & ~low, acc | low, size + 1))
 
 
 def _capped_alpha(g: Graph, cap: int) -> int:
@@ -353,7 +347,7 @@ def enumerate_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> MisFamily:
     """Complete family of maximum independent sets, in canonical order,
     for graphs of at most `cap` vertices."""
     alpha = _capped_alpha(g, cap)
-    sets = tuple(VertexSet(g.n, b) for b in _iter_mis(g.adj, (1 << g.n) - 1, alpha))
+    sets = tuple(VertexSet(g.n, b) for b in _independent_sets(g.adj, (1 << g.n) - 1, alpha))
     return MisFamily(host_n=g.n, alpha=alpha, sets=sets)
 
 
@@ -361,7 +355,7 @@ def count_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> tuple[int, int]:
     """(alpha, number of maximum independent sets), counted without
     holding the family, for graphs of at most `cap` vertices."""
     alpha = _capped_alpha(g, cap)
-    return alpha, sum(1 for _ in _iter_mis(g.adj, (1 << g.n) - 1, alpha))
+    return alpha, sum(1 for _ in _independent_sets(g.adj, (1 << g.n) - 1, alpha))
 
 
 def kernel(g: Graph) -> VertexSet:

@@ -17,17 +17,24 @@ the original solvers over the listed family of maximum independent sets
 and the original one-build_K-per-trial Monte Carlo loop, kept verbatim:
 the implicit hitting set loop, the count-only sampler and the cached
 Monte Carlo loop must give the same results.
+
+ref_find_independent_subset (the recursive popcount-cut DFS),
+ref_first_missed (the rebuild by decision calls) and ref_iter_mis (the
+DFS with a clique-cover cut) are the three original searches for "the
+first independent k-set in a pool", kept verbatim: the canonical walk
+that replaced them must give the same first set and the same list.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterator, Optional
 
 from hitlab.analysis import derive_seed
 from hitlab.graph import Graph, VertexSet, gen_gnp, iter_bits
 from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count, sample_Ij
-from hitlab.mis import enumerate_mis
+from hitlab.mis import _clique_cover_bound, enumerate_mis, has_independent
 
 # outer C5, inner pentagram, spokes
 PETERSEN_EDGES = [
@@ -347,3 +354,70 @@ def ref_monte_carlo_e(g: Graph, i_set: VertexSet, sched, trials: int, seed: int)
         k_set = build_K(g, i_j, sched.s, sched.t)
         samples.append(residual_edge_count(g, i_set.bits, base | k_set.bits))
     return tuple(samples)
+
+
+def ref_find_independent_subset(g: Graph, candidates: int, size: int) -> Optional[int]:
+    """First (lexicographically earliest) independent `size`-subset of the
+    candidate mask, as a mask, or None if none exists."""
+    if size == 0:
+        return 0
+    if candidates.bit_count() < size:
+        return None
+    adj = g.adj
+
+    # DFS over ascending vertex ids; each chosen vertex restricts the pool
+    # to its non-neighbors above it.
+    def rec(pool: int, need: int, acc: int) -> Optional[int]:
+        if need == 0:
+            return acc
+        while pool:
+            if pool.bit_count() < need:
+                return None
+            low = pool & -pool
+            v = low.bit_length() - 1
+            pool ^= low
+            got = rec(pool & ~adj[v], need - 1, acc | low)
+            if got is not None:
+                return got
+        return None
+
+    return rec(candidates, size, 0)
+
+
+def ref_first_missed(adj, pool: int, alpha: int) -> Optional[int]:
+    """Bits of the first independent set of `alpha` vertices inside the
+    pool in canonical order, or None if the pool holds none.  Rebuilt
+    smallest id first: v joins iff the pool left after taking it holds
+    the remaining size."""
+    if not has_independent(adj, pool, alpha):
+        return None
+    acc, need = 0, alpha
+    while need:
+        low = pool & -pool
+        v = low.bit_length() - 1
+        rest = pool & ~adj[v] & ~low
+        if has_independent(adj, rest, need - 1):
+            acc |= low
+            need -= 1
+            pool = rest
+        else:
+            pool ^= low
+    return acc
+
+
+def ref_iter_mis(adj, pool: int, alpha: int) -> Iterator[int]:
+    """Bits of every independent set of `alpha` vertices inside the pool,
+    in canonical order: a DFS over ascending ids, include side first,
+    that leaves a subtree once a clique cover of its pool is smaller
+    than the members still needed.  The open nodes sit on a stack, so
+    memory stays O(n) whatever the family's size."""
+    stack = [(pool, 0, 0)]
+    while stack:
+        pool, acc, size = stack.pop()
+        need = alpha - size
+        if not need:
+            yield acc
+        elif _clique_cover_bound(adj, pool, need - 1) >= need:
+            low = pool & -pool
+            stack.append((pool ^ low, acc, size))
+            stack.append((pool & ~adj[low.bit_length() - 1] & ~low, acc | low, size + 1))

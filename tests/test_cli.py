@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: every subcommand, every exit code, and the
 thin-adapter promise that CLI output equals the library call's output."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import hitlab
 from hitlab.cli import build_parser, dispatch, main
 from hitlab.analysis import resolve_schedule
-from hitlab.graph import gen_cluster, gen_cycle, gen_path
+from hitlab.graph import Graph, gen_cluster, gen_cycle, gen_path
 from hitlab.hitting import certificate_to_text, construct_hitting_set
 from hitlab.io import format_edge_list, load_graph
 
@@ -175,6 +176,18 @@ class TestCheckFree:
         code, _, err = cli(capsys, "check-free", "--graph", "/nope.el", "--s", "2", "--t", "2")
         assert code == 1
         assert err.startswith("error:parse:")
+
+    def test_large_t_on_a_star_stays_within_the_recursion_limit(self, capsys, tmp_path):
+        star = write_graph(tmp_path, "star.el", Graph.from_edges(301, [(0, v) for v in range(1, 301)]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            code, out, err = cli(capsys, "check-free", "--graph", star, "--s", "1", "--t", "250")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 2
+        assert out == "side_a: 0\nside_b: " + " ".join(str(v) for v in range(1, 251)) + "\n"
+        assert err == "error:freeness: graph contains an induced K_{1,250}\n"
 
 
 class TestMis:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
 from hitlab.errors import PreconditionError
@@ -172,6 +175,21 @@ def test_find_independent_subset_lex_first(c5):
     assert find_independent_subset(c5, full, 3) is None
     assert find_independent_subset(c5, full, 0) == 0
     assert find_independent_subset(c5, 0b11000, 2) is None  # {3,4} adjacent
+
+
+def test_independent_subsets_of_a_star_stay_off_the_call_stack():
+    # each member of the leaf set is one level of a depth-first search
+    leaves = 300
+    star = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        subset = find_independent_subset(star, star.adj[0], 250)
+        emb = find_induced_kst(star, 1, 250)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert subset == star.adj[0] & ((1 << 251) - 1)
+    assert emb == InducedEmbedding((0,), tuple(range(1, 251)))
 
 
 class TestInducedEmbedding:

@@ -14,6 +14,7 @@ from hitlab.mis import (
     _alpha,
     _clique_cover_bound,
     _greedy_mis,
+    _independent_sets,
     _max_independent,
     alpha_with_witness,
     enumerate_mis,
@@ -28,7 +29,10 @@ from helpers import (
     petersen,
     random_gnp_corpus,
     ref_clique_cover_bound,
+    ref_find_independent_subset,
+    ref_first_missed,
     ref_greedy_mis,
+    ref_iter_mis,
     ref_max_independent,
 )
 
@@ -191,8 +195,9 @@ def test_greedy_matches_the_reference_on_a_long_path():
 
 
 def test_enumerate_long_path_and_cycle():
-    # tiny families under an exponential plain DFS tree: the clique-cover
-    # cut keeps each at milliseconds, so a regression shows as a slow test
+    # tiny families under an exponential plain DFS tree: the walk opens
+    # only nodes that hold a set, so each stays at milliseconds and a
+    # regression shows as a slow test
     n = 40
     path_sets = [tuple(range(0, 2 * k, 2)) + tuple(range(2 * k + 1, n, 2)) for k in range(n // 2 + 1)]
     cycle_sets = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
@@ -225,6 +230,25 @@ def test_value_and_decision_searches_match_the_subset_dp():
                         assert got == alpha
                     else:
                         assert goal <= got <= alpha
+
+
+def test_the_walk_matches_the_three_searches_it_replaced():
+    rng = random.Random(43)
+    graphs = random_gnp_corpus(25, 1, 14, seed=47)
+    graphs += [gen_c4_free_process(n, round(0.1 * n * (n - 1) / 2), n) for n in (20, 30, 40)]
+    graphs += [gen_cluster([3, 2, 4, 1, 3]), gen_cycle(13), gen_path(16)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for pool in (full, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            alpha = _alpha(g.adj, pool, -1, g.n + 1)
+            for size in range(alpha + 2):
+                first = next(_independent_sets(g.adj, pool, size), None)
+                assert first == ref_find_independent_subset(g, pool, size)
+                assert first == ref_first_missed(g.adj, pool, size)
+                assert first == next(ref_iter_mis(g.adj, pool, size), None)
+            listed = list(_independent_sets(g.adj, pool, alpha))
+            assert listed == list(ref_iter_mis(g.adj, pool, alpha))
+            assert listed == sorted(listed, key=members)
 
 
 def test_long_path_and_cycle_within_the_recursion_limit():
