@@ -4,8 +4,10 @@ For graphs with no induced K_{s,t}, a randomly sampled core inside one
 maximum independent set excludes most of the graph from any other
 maximum independent set; the leftovers are absorbed by an averaging
 step.  This package makes that argument executable: it constructs the
-hitting set, emits a replayable certificate, verifies it against exact
-enumeration, and measures the expectation bounds the argument leans on.
+hitting set, emits a replayable certificate, verifies it with the exact
+alpha oracle (T meets every maximum independent set iff
+alpha(G - T) < alpha(G)), and measures the expectation bounds the
+argument leans on.
 """
 
 from .drc import DrcTrace, codegree_scan, drc_clique, matching_audit, maximal_missing_matching

@@ -130,38 +130,24 @@ def analytic_e_bound(
     s = sched.s
     ln_n = math.log(n)
     ln_1c = _ln(1.0 - c)
-    if isinstance(sched, AsymptoticSchedule):
-        log_lo, log_hi = sched.log_bins[j - 1]
-        log_k = sched.log_ks[j - 1]
-        a_s = log_lo + ln_1c + ln_n
-        log_q = log_hi - math.log(c) - ln_n
-        if log_q >= 0.0:
-            return a_s, -math.inf
-        terms = []
-        q = math.exp(log_q)
-        k_real = math.exp(log_k) if log_k < 700.0 else math.inf
-        for x in range(0, s):
-            if q > 1e-12 and k_real != math.inf:
-                terms.append(x * log_k + (k_real - x) * math.log1p(-q))
-            else:
-                # ln(1-q) = -q to relative error q; k dominates x
-                try:
-                    tail = -math.exp(log_k + log_q)
-                except OverflowError:
-                    tail = -math.inf
-                terms.append(x * log_k + tail)
-        a_l = _ln(c) + ln_1c + 2.0 * ln_n + _logsumexp(terms)
-        return a_s, a_l
-    theta_lo, theta_hi = sched.bins[j - 1]
-    k = sched.k
-    a_s = _ln(theta_lo) + ln_1c + ln_n
-    q = theta_hi / (c * n)
+    log_lo, log_hi, log_k = sched.log_bin(j)
+    a_s = log_lo + ln_1c + ln_n
+    log_q = log_hi - math.log(c) - ln_n
+    if log_q >= 0.0:
+        return a_s, -math.inf
     terms = []
+    q = math.exp(log_q)
+    k_real = math.exp(log_k) if log_k < 700.0 else math.inf
     for x in range(0, s):
-        if q >= 1.0:
-            terms.append(-math.inf if k - x > 0 else x * _ln(float(k)))
+        if q > 1e-12 and k_real != math.inf:
+            terms.append(x * log_k + (k_real - x) * math.log1p(-q))
         else:
-            terms.append(x * _ln(float(k)) + (k - x) * math.log1p(-q))
+            # ln(1-q) = -q to relative error q; k dominates x
+            try:
+                tail = -math.exp(log_k + log_q)
+            except OverflowError:
+                tail = -math.inf
+            terms.append(x * log_k + tail)
     a_l = _ln(c) + ln_1c + 2.0 * ln_n + _logsumexp(terms)
     return a_s, a_l
 

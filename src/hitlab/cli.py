@@ -250,6 +250,7 @@ def _cmd_drc(args) -> int:
 
 def _cmd_schedule(args) -> int:
     sched = asymptotic_schedule(args.n, args.s, args.t, args.delta)
+    analytic_e_bound(args.n, args.c, sched, 1)  # a bad --c fails before any output
     print(f"n: {args.n}")
     print(f"s: {sched.s}")
     print(f"t: {sched.t}")
@@ -409,19 +410,13 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "run", None) is None:
+            raise _UsageError("a subcommand is required (see --help)")
+        return args.run(args)
     except SystemExit as ex:  # --help
         return int(ex.code or 0)
-    except HitlabError as ex:
-        sys.stderr.write(f"error:{ex.kind}: {ex}\n")
-        return ex.exit_code
-    if getattr(args, "run", None) is None:
-        sys.stderr.write("error:usage: a subcommand is required (see --help)\n")
-        return 1
-    try:
-        return args.run(args)
     except HitlabError as ex:
         sys.stderr.write(f"error:{ex.kind}: {ex}\n")
         return ex.exit_code

@@ -292,22 +292,16 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
     return best_v, best_d
 
 
-def find_independent_subset(g: Graph, candidates: int, size: int) -> Optional[int]:
-    """First (lexicographically earliest) independent `size`-subset of the
-    candidate mask, as a mask, or None if none exists: the first set of
-    the canonical walk `mis._independent_sets`, so no pool meets the
-    recursion limit."""
-    from . import mis  # mis imports this module
-
-    return next(mis._independent_sets(g.adj, candidates, size), None)
-
-
 def find_induced_kst(g: Graph, s: int, t: int) -> Optional[InducedEmbedding]:
     """Search for an induced K_{s,t}; None when the graph is free of it.
 
     Exhaustive over ordered A-sides (lexicographically minimal witness
-    first).  Exponential in s+t; callers keep s+t small (<= 8 by default).
+    first); the B-side is the first set of the canonical walk
+    `mis._independent_sets`, so no pool meets the recursion limit.
+    Exponential in s+t; callers keep s+t small (<= 8 by default).
     """
+    from .mis import _independent_sets  # mis imports this module
+
     if not 1 <= s <= t:
         raise PreconditionError(f"need 1 <= s <= t, got s={s}, t={t}")
     adj = g.adj
@@ -327,7 +321,7 @@ def find_induced_kst(g: Graph, s: int, t: int) -> Optional[InducedEmbedding]:
             common &= adj[u]
         if common.bit_count() < t:
             continue
-        b_mask = find_independent_subset(g, common, t)
+        b_mask = next(_independent_sets(adj, common, t), None)
         if b_mask is not None:
             return InducedEmbedding(a_side, tuple(iter_bits(b_mask)))
     return None

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     VerificationFailure,
 )
-from .graph import Graph, InducedEmbedding, VertexSet, find_independent_subset, iter_bits, min_degree_vertex
+from .graph import Graph, InducedEmbedding, VertexSet, iter_bits, min_degree_vertex
 from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
 from .mis import ENUM_CAP_DEFAULT, _alpha, _full_pool, _independent_sets, alpha_with_witness, count_mis
 from .mis import first_missed, has_independent, independence_check
@@ -63,8 +63,7 @@ class ParamSchedule:
             raise PreconditionError("s and t must be integers")
         if not 1 <= self.s <= self.t:
             raise PreconditionError(f"need 1 <= s <= t, got s={self.s}, t={self.t}")
-        if not 0.0 < self.delta < 1.0:
-            raise PreconditionError(f"delta must lie in (0,1), got {self.delta}")
+        _check_delta(self.delta)
         if self.k < self.s:
             raise PreconditionError(f"k={self.k} below s={self.s}: no s-subsets to sample")
         bins = tuple((float(lo), float(hi)) for lo, hi in self.bins)
@@ -90,6 +89,11 @@ class ParamSchedule:
     def num_bins(self) -> int:
         return len(self.bins)
 
+    def log_bin(self, j: int) -> tuple[float, float, float]:
+        """(ln lo, ln hi, ln k) of bin j (1-based), with ln 0 = -inf."""
+        lo, hi = self.bins[j - 1]
+        return (math.log(lo) if lo > 0.0 else -math.inf), math.log(hi), math.log(self.k)
+
 
 @dataclass(frozen=True)
 class AsymptoticSchedule:
@@ -111,6 +115,29 @@ class AsymptoticSchedule:
     def num_bins(self) -> int:
         return len(self.log_bins)
 
+    def log_bin(self, j: int) -> tuple[float, float, float]:
+        """(ln lo, ln hi, ln k) of bin j (1-based)."""
+        return (*self.log_bins[j - 1], self.log_ks[j - 1])
+
+
+# The auto rule's delta = (d + 0.5)/n asks for at most 4n bins (an
+# isolated vertex), so this admits it on every graph of up to 250,000
+# vertices; a smaller delta is refused before any bin is built.
+MAX_BINS = 1_000_000
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise PreconditionError(f"delta must lie in (0,1), got {delta}")
+
+
+def _bin_count(delta: float) -> int:
+    """ceil(2/delta), the number of bins auto_bins and asymptotic_schedule build."""
+    _check_delta(delta)
+    if 2.0 / delta > MAX_BINS:
+        raise PreconditionError(f"delta={delta} asks for more than {MAX_BINS} bins (ceil(2/delta))")
+    return math.ceil(2.0 / delta)
+
 
 def auto_bins(delta: float) -> tuple[tuple[float, float], ...]:
     """ceil(2/delta) unit-width bins descending to [1,2).
@@ -118,9 +145,7 @@ def auto_bins(delta: float) -> tuple[tuple[float, float], ...]:
     Enough bins for the pigeonhole count (n-|I|)/#bins <= (1-c)*delta*n/2,
     which is what the size audit needs.
     """
-    if not 0.0 < delta < 1.0:
-        raise PreconditionError(f"delta must lie in (0,1), got {delta}")
-    j_max = math.ceil(2.0 / delta)
+    j_max = _bin_count(delta)
     return tuple((float(j_max - j), float(j_max - j + 1)) for j in range(j_max))
 
 
@@ -140,14 +165,12 @@ def asymptotic_schedule(n: int, s: int, t: int, delta: float) -> AsymptoticSched
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise PreconditionError(f"delta must lie in (0,1), got {delta}")
+    j_max = _bin_count(delta)
     if not 1 <= s <= t:
         raise PreconditionError(f"need 1 <= s <= t, got s={s}, t={t}")
     ln_n = math.log(n)
     ln_ln = math.log(ln_n)
     base = float(10 * s)
-    j_max = math.ceil(2.0 / delta)
     log_bins = []
     log_ks = []
     feasible = True
@@ -259,7 +282,7 @@ def build_K(g: Graph, i_j: VertexSet, s: int, t: int) -> VertexSet:
         common = full
         for p in side_a:
             common &= g.adj[p]
-        hit = find_independent_subset(g, common, t)
+        hit = next(_independent_sets(g.adj, common, t), None)
         if hit is not None:
             witness = InducedEmbedding(side_a, tuple(iter_bits(hit)))
             raise FreenessViolationError(
@@ -365,28 +388,16 @@ def residual_edges(g: Graph, cert: HittingCertificate) -> int:
 # exact minimum hitting set over the MIS hypergraph
 
 
-def _disjoint_lower_bound(edges: list[int], pool: int) -> int:
-    used = 0
-    count = 0
-    for e in edges:
-        ep = e & pool
-        if ep == 0:
-            return 1 << 30
-        if ep & used == 0:
-            used |= ep
-            count += 1
-    return count
-
-
 def _cover(edges: list[int], budget: int, pool: int) -> Optional[int]:
     """Bits of at most `budget` pool vertices meeting every edge, or None.
 
     Branches on the edge with fewest usable vertices, trying them in id
-    order and dropping each one tried from the later branches.
+    order and dropping each one tried from the later branches; an edge
+    with none left gives nothing to try.
     """
     if not edges:
         return 0
-    if budget <= 0 or _disjoint_lower_bound(edges, pool) > budget:
+    if budget <= 0:
         return None
     best = None
     for e in edges:
@@ -394,7 +405,7 @@ def _cover(edges: list[int], budget: int, pool: int) -> Optional[int]:
         c = ep.bit_count()
         if best is None or c < best.bit_count():
             best = ep
-            if c == 1:
+            if c <= 1:
                 break
     for v in iter_bits(best):
         bit = 1 << v

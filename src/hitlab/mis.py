@@ -14,9 +14,9 @@ set" by alpha(G - t) < alpha(G) with the decision search at any n.  The
 canonical walk `_independent_sets(adj, pool, size)` yields every
 independent `size`-set of a pool in canonical order and opens a node
 only when the decision search says it holds a set: first_missed, the
-minimum hitting set's oracle and graph.find_independent_subset take its
-first set, and enumerate_mis (below a cap) and count_mis (in O(n)
-memory) run it out.
+minimum hitting set's oracle, hitting.build_K and graph.find_induced_kst
+take its first set, and enumerate_mis (below a cap) and count_mis (in
+O(n) memory) run it out.
 
 Why the witness walk reproduces the frozen search: that search keeps
 its greedy incumbent unless a leaf is strictly larger, so its answer is

@@ -23,11 +23,17 @@ ref_first_missed (the rebuild by decision calls) and ref_iter_mis (the
 DFS with a clique-cover cut) are the three original searches for "the
 first independent k-set in a pool", kept verbatim: the canonical walk
 that replaced them must give the same first set and the same list.
+
+address_space_cap bounds what a test may allocate, so a case that
+would build a huge structure fails with MemoryError instead of taking
+the host's memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+import resource
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -107,6 +113,22 @@ def has_induced_kst_brute(g: Graph, s: int, t: int) -> bool:
             if not any(g.has_edge(u, v) for u, v in combinations(b_side, 2)):
                 return True
     return False
+
+
+@contextlib.contextmanager
+def address_space_cap(extra: int = 256 << 20):
+    """Lower this process's soft address-space limit to its current size
+    plus `extra` bytes for the duration of the block (Linux)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        cap = int(fh.read().split()[0]) * resource.getpagesize() + extra
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def random_gnp_corpus(count: int, n_lo: int, n_hi: int, seed: int) -> list[Graph]:
@@ -284,7 +306,7 @@ def _ref_greedy_cover(edges: list[int], n: int) -> int:
 
 
 def ref_min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
-    fam = enumerate_mis(g)
+    fam = enumerate_mis(g, cap=g.n)  # C_61 is above the default cap but has only 61 sets
     edges = [vs.bits for vs in fam.sets]
     full = (1 << g.n) - 1
     lb = _ref_disjoint_lower_bound(edges, full)

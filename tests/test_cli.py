@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,10 @@ from hitlab.analysis import resolve_schedule
 from hitlab.graph import Graph, gen_cluster, gen_cycle, gen_path
 from hitlab.hitting import certificate_to_text, construct_hitting_set
 from hitlab.io import format_edge_list, load_graph
+from helpers import address_space_cap
+
+# `hitlab schedule` reports, each under its `$ hitlab ...` command line
+SCHEDULE_REPORTS = Path(__file__).parent / "golden" / "schedule_reports.txt"
 
 
 def cli(capsys, *argv):
@@ -477,6 +482,18 @@ class TestSchedule:
         assert code == 2
         assert err.startswith("error:precondition:")
 
+    def test_bad_c_prints_no_part_of_the_report(self, capsys):
+        code, out, err = cli(capsys, "schedule", "--n", "100", "--c", "0")
+        assert (code, out) == (2, "")
+        assert err == "error:precondition: c must lie in (0,1], got 0.0\n"
+
+    def test_reports_keep_their_bytes(self, capsys):
+        blocks = SCHEDULE_REPORTS.read_text(encoding="utf-8").split("$ hitlab ")[1:]
+        assert len(blocks) == 12
+        for block in blocks:
+            command, _, want = block.partition("\n")
+            assert cli(capsys, *command.split()) == (0, want, "")
+
 
 class TestProb:
     def test_pinned_values(self, capsys):
@@ -555,6 +572,8 @@ C5_CERT = certificate_to_text(
 )
 
 
+C7_TEXT = format_edge_list(gen_cycle(7))
+
 # one path cell, so a bad schedule field is met inside a cell
 SWEEP_CONFIG = '{"families": [{"kind": "path"}], "n_values": [6], "seeds": [1], "schedule": %s}'
 
@@ -589,6 +608,9 @@ def _cert_with(key, value):
         (["experiment", "--config", "{dir}/x.json"],
          {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "k": "x", "bins": [[1, 2]]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": [1e999]}'}),
+        (["hit", "--graph", "{dir}/c7.el", "--schedule", "auto", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
+        (["mc-e", "--graph", "{dir}/c7.el", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
+        (["schedule", "--n", "100", "--delta", "1e-8"], {}),
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
@@ -596,13 +618,15 @@ def _cert_with(key, value):
         "n-values-not-int", "cap-not-int", "caps-not-object",
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
+        "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta",
     ],
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [arg.format(c5=c5_path, dir=tmp_path) for arg in argv]
-    code, _, err = cli(capsys, *argv)
+    with address_space_cap():
+        code, _, err = cli(capsys, *argv)
     assert code in {1, 2, 3, 4}
     assert err.startswith("error:")
     assert "Traceback" not in err

@@ -11,7 +11,6 @@ from hitlab.graph import (
     InducedEmbedding,
     VertexSet,
     complement,
-    find_independent_subset,
     find_induced_kst,
     gen_c4_free_process,
     gen_cluster,
@@ -21,6 +20,7 @@ from hitlab.graph import (
     iter_bits,
     min_degree_vertex,
 )
+from hitlab.mis import _independent_sets
 from helpers import has_induced_kst_brute, petersen
 
 
@@ -170,11 +170,12 @@ def test_min_degree_vertex_tie_breaks_low_id():
 
 
 def test_find_independent_subset_lex_first(c5):
+    # the first set of the canonical walk is the lex-first independent subset
     full = (1 << 5) - 1
-    assert find_independent_subset(c5, full, 2) == 0b00101  # {0, 2}
-    assert find_independent_subset(c5, full, 3) is None
-    assert find_independent_subset(c5, full, 0) == 0
-    assert find_independent_subset(c5, 0b11000, 2) is None  # {3,4} adjacent
+    assert next(_independent_sets(c5.adj, full, 2), None) == 0b00101  # {0, 2}
+    assert next(_independent_sets(c5.adj, full, 3), None) is None
+    assert next(_independent_sets(c5.adj, full, 0), None) == 0
+    assert next(_independent_sets(c5.adj, 0b11000, 2), None) is None  # {3,4} adjacent
 
 
 def test_independent_subsets_of_a_star_stay_off_the_call_stack():
@@ -184,7 +185,7 @@ def test_independent_subsets_of_a_star_stay_off_the_call_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 50)
     try:
-        subset = find_independent_subset(star, star.adj[0], 250)
+        subset = next(_independent_sets(star.adj, star.adj[0], 250), None)
         emb = find_induced_kst(star, 1, 250)
     finally:
         sys.setrecursionlimit(limit)

@@ -17,6 +17,7 @@ from hitlab.errors import (
 )
 from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_path
 from hitlab.hitting import (
+    MAX_BINS,
     MODE_LOW_DEGREE,
     MODE_SAMPLED_CORE,
     MODE_TRIVIAL,
@@ -43,6 +44,7 @@ from hitlab.hitting import (
 )
 from hitlab.mis import alpha_with_witness, enumerate_mis
 from helpers import (
+    address_space_cap,
     brute_min_hitting,
     random_gnp_corpus,
     ref_bin_and_select,
@@ -74,6 +76,8 @@ class TestParamSchedule:
         for delta in (0.0, 1.0, -0.3):
             with pytest.raises(PreconditionError):
                 simple_sched(delta=delta)
+        # explicit bins are given, so their delta has no bin bound
+        assert simple_sched(delta=1e-8).delta == 1e-8
 
     def test_rejects_k_below_s(self):
         with pytest.raises(PreconditionError):
@@ -104,6 +108,11 @@ def test_auto_bins_unit_cover():
     assert len(auto_bins(0.07)) == math.ceil(2 / 0.07)
     with pytest.raises(PreconditionError):
         auto_bins(0.0)
+    # past MAX_BINS bins is refused before any is built (1e-8 asks for 2e8;
+    # under the cap, building them fails with MemoryError instead)
+    for delta in (1e-8, 1.9999 / MAX_BINS, 5e-324):
+        with address_space_cap(), pytest.raises(PreconditionError, match="bins"):
+            auto_bins(delta)
 
 
 class TestAsymptoticSchedule:
@@ -134,6 +143,8 @@ class TestAsymptoticSchedule:
             asymptotic_schedule(2, 2, 2, 0.5)
         with pytest.raises(PreconditionError):
             asymptotic_schedule(100, 2, 2, 1.0)
+        with address_space_cap(), pytest.raises(PreconditionError, match="bins"):
+            asymptotic_schedule(100, 2, 2, 1e-8)
 
 
 class TestClosedNeighborhood:
@@ -396,7 +407,8 @@ class TestMinHittingSet:
         graphs += [gen_cluster(sizes) for sizes in ([4] * 6, [5] * 5, [6] * 4, [2, 3, 4, 5, 6])]
         graphs += [gen_cluster([2] * (n // 2)) for n in (22, 24, 26)]
         graphs += [gen_cluster([3] * (n // 3)) for n in (21, 24, 27)]
-        graphs += [gen_cycle(25)] + [gen_path(n) for n in (20, 24, 28)]
+        # odd cycles with h = 3, where a pruning bound could matter
+        graphs += [gen_cycle(n) for n in (25, 47, 61)] + [gen_path(n) for n in (20, 24, 28)]
         for m_frac in (0.1, 0.2):
             for n in (24, 30):
                 graphs += [gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), s) for s in (0, 1)]
