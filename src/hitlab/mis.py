@@ -6,12 +6,14 @@ search `has_independent(adj, pool, target)` is built on it; since only a
 number leaves them, they peel pool vertices of degree at most 1, stop
 at once when the greedy set meets the clique cover, and otherwise
 relabel by degree and branch in colour order (MCS on the complement)
-from an explicit stack, so no input size meets the recursion limit.  The
-witness walk `_max_independent` returns the maximum independent set a
-frozen branch and bound reaches first, which certificates and the CLI's
-`witness:` line pin.  kernel decides "t meets every maximum independent
-set" by alpha(G - t) < alpha(G) with the decision search at any n.  The
-canonical walk `_independent_sets(adj, pool, size)` yields every
+from an explicit stack, so no input size meets the recursion limit,
+skipping the branch vertices that unit propagation over the colour
+classes rules out.  The witness walk `_max_independent` returns the
+maximum independent set a frozen branch and bound reaches first, which
+certificates and the CLI's `witness:` line pin.  kernel decides "t
+meets every maximum independent set" by alpha(G - t) < alpha(G) with
+the decision search at any n, and asks nothing for a witness vertex
+that a neighbour can replace.  The canonical walk `_independent_sets(adj, pool, size)` yields every
 independent `size`-set of a pool in canonical order and opens a node
 only when the decision search says it holds a set: first_missed, the
 minimum hitting set's oracle, hitting.build_K and graph.find_induced_kst
@@ -31,6 +33,24 @@ straight to that leaf.  The greedy incumbent keeps pool degrees in
 buckets and the clique cover is built one clique at a time; both give
 what a full rescan and a first-fit cover would (the test suite keeps
 those plain versions and the frozen search as references).
+
+Why the value search may skip vertices (the MaxSAT bound of Li and Quan,
+AAAI 2010, in independent-set form): at a node with size members taken
+and incumbent best, let kmin = best - size.  The colour classes are
+cliques of G, so an independent set holds at most one vertex of each;
+the first kmin classes are live.  A vertex p of a later class is forced
+and propagated against the live classes: each forced vertex removes its
+neighbours from every live class, and a class left with one vertex
+forces it.  If a class is left empty, no independent set holds p and
+one vertex of each class that became unit or empty on the way (the
+reason), so p and the reason's classes R together hold at most |R|
+members of any independent set.  The reason leaves the live set, so
+reason sets are disjoint, and the live classes left plus the skipped
+vertices hold at most kmin members of any independent set.  The kept
+vertices b_1..b_r, in colour order, are branched from b_r down: when b_j
+is branched on, the pool is those vertices plus b_1..b_j, so its
+subtree is bounded by kmin + j.  The test suite keeps the colour-only
+search as a reference.
 """
 
 from __future__ import annotations
@@ -182,6 +202,70 @@ def _relabel(adj, pool: int) -> list[int]:
     return [sum(1 << new[u] for u in iter_bits(adj[v] & pool)) for v in order]
 
 
+def _refuted(rows, low: int, live: list[int], live_bits: int, colour: list[int]) -> int:
+    """Unit propagation of the vertex `low` against the live classes:
+    a forced vertex takes its neighbours out of every live class, a
+    class left with one vertex forces it, a class left empty is a
+    conflict.  Returns the union of the classes that became unit or
+    empty (the reason) on a conflict, else 0."""
+    cur = live[:]
+    reason, forced = 0, [low.bit_length() - 1]
+    while forced:
+        nb = rows[forced.pop()]
+        hit = nb & live_bits
+        while hit:
+            i = colour[(hit & -hit).bit_length() - 1]
+            cls = live[i]
+            hit &= ~cls
+            left = cur[i] & ~nb
+            if not left:
+                return reason | cls
+            if not left & (left - 1) and not reason & cls:
+                reason |= cls
+                forced.append(left.bit_length() - 1)
+            cur[i] = left
+    return 0
+
+
+def _branch_vertices(rows, pool: int, kmin: int) -> list[tuple[int, int]]:
+    """(bit, bound) of the vertices a node branches on, in colour order,
+    when its pool must hold more than kmin members to beat the incumbent:
+    the pool less the kept vertices after the j-th holds at most its
+    bound, kmin + j, members of any independent set.
+
+    The first kmin colour classes are live; a vertex of a later class is
+    kept unless `_refuted` finds a conflict, whose reason then leaves
+    the live set.
+    """
+    colour = [0] * len(rows)
+    live, live_bits, rest = [], 0, pool
+    while rest and len(live) < kmin:
+        clique, cls = rest, 0
+        while clique:
+            low = clique & -clique
+            v = low.bit_length() - 1
+            cls |= low
+            colour[v] = len(live)
+            clique &= rows[v]
+        rest ^= cls
+        live.append(cls)
+        live_bits |= cls
+    branch, bound = [], kmin
+    while rest:
+        clique = rest
+        while clique:
+            low = clique & -clique
+            rest ^= low
+            clique &= rows[low.bit_length() - 1]
+            reason = live_bits and _refuted(rows, low, live, live_bits, colour)
+            if reason:
+                live_bits ^= reason
+                continue
+            bound += 1
+            branch.append((low, bound))
+    return branch
+
+
 def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     """alpha(pool) when it lies above floor and below goal; floor when
     alpha(pool) <= floor; some value in goal..alpha(pool) otherwise.
@@ -189,11 +273,15 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     The greedy set is the first incumbent and ends the search when it
     reaches goal or the id-order clique cover.  Then a colour-ordered
     branch and bound (MCS in complement form) over the relabelled pool:
-    the colour classes are the id-order cliques, and only vertices whose
-    class number can still beat the incumbent are branched on, highest
-    class first.  Only the number leaves, so the search is free to pick
-    its own order.  Nodes sit on an explicit stack, so deep searches
-    need no recursion.
+    the colour classes are the id-order cliques, and the first kmin =
+    best - size of them are live.  A vertex of a later class is skipped
+    when unit propagation against the live classes ends in a conflict;
+    the conflict's classes (the reason) then leave the live set, so
+    reason sets stay disjoint.  The kept vertices are branched on last
+    first, the j-th under the bound kmin + j (`_branch_vertices`; the
+    module docstring has the argument).  Only the number leaves, so the
+    search is free to pick its own order.  Nodes sit on an explicit
+    stack, so deep searches need no recursion.
     """
     taken, pool = _peel(adj, pool)
     best, goal = floor - taken, goal - taken
@@ -214,17 +302,7 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
             size += more
             if size > best:
                 best = size
-            branch = []
-            rest, k = pool, 0
-            while rest:
-                k += 1
-                clique = rest
-                while clique:
-                    low = clique & -clique
-                    rest ^= low
-                    clique &= rows[low.bit_length() - 1]
-                    if size + k > best:
-                        branch.append((low, k))
+            branch = _branch_vertices(rows, pool, best - size)
             node[1:] = size, branch
         if not branch or size + branch[-1][1] <= best or best >= goal:
             stack.pop()
@@ -361,9 +439,18 @@ def count_mis(g: Graph, cap: int = ENUM_CAP_DEFAULT) -> tuple[int, int]:
 def kernel(g: Graph) -> VertexSet:
     """Intersection of all maximum independent sets: the v of one such
     set with alpha(G - v) < alpha(G), each alone a hitting set."""
+    adj = g.adj
     alpha, witness = alpha_with_witness(g)
     full = (1 << g.n) - 1
-    kept = [v for v in witness.members() if not has_independent(g.adj, full ^ (1 << v), alpha)]
+
+    def swappable(v: int) -> bool:
+        # a neighbour u with N[u] inside N[v] takes v's place in any
+        # maximum independent set, so one of them misses v
+        closed = adj[v] | 1 << v
+        return any(not (adj[u] | 1 << u) & ~closed for u in iter_bits(adj[v]))
+
+    kept = [v for v in witness.members()
+            if not swappable(v) and not has_independent(adj, full ^ (1 << v), alpha)]
     return VertexSet.of(g.n, kept)
 
 

@@ -24,6 +24,11 @@ DFS with a clique-cover cut) are the three original searches for "the
 first independent k-set in a pool", kept verbatim: the canonical walk
 that replaced them must give the same first set and the same list.
 
+ref_alpha_colour is the value search before unit propagation, kept
+verbatim: every vertex whose colour class number can beat the incumbent
+is branched on, bounded by that number.  The search with the filter
+must answer every floor/goal query the same way.
+
 address_space_cap bounds what a test may allocate, so a case that
 would build a huge structure fails with MemoryError instead of taking
 the host's memory.
@@ -40,7 +45,7 @@ from typing import Iterator, Optional
 from hitlab.analysis import derive_seed
 from hitlab.graph import Graph, VertexSet, gen_gnp, iter_bits
 from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count, sample_Ij
-from hitlab.mis import _clique_cover_bound, enumerate_mis, has_independent
+from hitlab.mis import _clique_cover_bound, _greedy_mis, _peel, _relabel, enumerate_mis, has_independent
 
 # outer C5, inner pentagram, spokes
 PETERSEN_EDGES = [
@@ -227,6 +232,59 @@ def ref_max_independent(adj, pool: int) -> tuple[int, int]:
 
     rec(pool, 0, 0)
     return state[0], state[1]
+
+
+def ref_alpha_colour(adj, pool: int, floor: int, goal: int) -> int:
+    """alpha(pool) when it lies above floor and below goal; floor when
+    alpha(pool) <= floor; some value in goal..alpha(pool) otherwise.
+
+    The greedy set is the first incumbent and ends the search when it
+    reaches goal or the id-order clique cover.  Then a colour-ordered
+    branch and bound (MCS in complement form) over the relabelled pool:
+    the colour classes are the id-order cliques, and only vertices whose
+    class number can still beat the incumbent are branched on, highest
+    class first.  Only the number leaves, so the search is free to pick
+    its own order.  Nodes sit on an explicit stack, so deep searches
+    need no recursion.
+    """
+    taken, pool = _peel(adj, pool)
+    best, goal = floor - taken, goal - taken
+    if pool.bit_count() <= best:
+        return floor
+    greedy = _greedy_mis(adj, pool).bit_count()
+    if greedy > best:
+        best = greedy
+        if best >= goal or _clique_cover_bound(adj, pool, best) <= best:
+            return best + taken
+    rows = _relabel(adj, pool)
+    stack = [[(1 << len(rows)) - 1, 0, None]]
+    while stack:
+        node = stack[-1]
+        pool, size, branch = node
+        if branch is None:
+            more, pool = _peel(rows, pool)
+            size += more
+            if size > best:
+                best = size
+            branch = []
+            rest, k = pool, 0
+            while rest:
+                k += 1
+                clique = rest
+                while clique:
+                    low = clique & -clique
+                    rest ^= low
+                    clique &= rows[low.bit_length() - 1]
+                    if size + k > best:
+                        branch.append((low, k))
+            node[1:] = size, branch
+        if not branch or size + branch[-1][1] <= best or best >= goal:
+            stack.pop()
+            continue
+        low, _ = branch.pop()
+        node[0] = pool ^ low
+        stack.append([pool & ~rows[low.bit_length() - 1] & ~low, size + 1, None])
+    return best + taken
 
 
 def ref_bin_and_select(g: Graph, i_set: VertexSet, sched) -> tuple[int, VertexSet]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import inspect
+import json
 import math
+import os
 import random
 import sys
 
@@ -9,9 +11,11 @@ import pytest
 
 from hitlab.errors import EnumerationCapError, PreconditionError
 from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path
+import hitlab.mis as mis
 from hitlab.mis import (
     MisFamily,
     _alpha,
+    _branch_vertices,
     _clique_cover_bound,
     _greedy_mis,
     _independent_sets,
@@ -28,6 +32,7 @@ from helpers import (
     members,
     petersen,
     random_gnp_corpus,
+    ref_alpha_colour,
     ref_clique_cover_bound,
     ref_find_independent_subset,
     ref_first_missed,
@@ -273,8 +278,10 @@ def test_large_cluster_within_the_recursion_limit():
     assert has_independent(g.adj, full ^ 1, 1000)
     assert not has_independent(g.adj, full, 1001)
     assert first_missed(g, VertexSet.of(g.n, [0, 1, 2])) is None
+    # every witness vertex has a triangle mate with the same closed
+    # neighbourhood, so kernel makes no decision call
+    assert kernel(g).size == 0
     small = gen_cluster([3] * 100)
-    assert kernel(small).size == 0
     assert first_missed(small, VertexSet.empty(small.n)).members() == tuple(range(0, 300, 3))
 
 
@@ -292,3 +299,87 @@ def test_value_search_keeps_its_nodes_off_the_call_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert got == k + 3
+
+
+def cycles(*lengths: int) -> Graph:
+    edges, base = [], 0
+    for k in lengths:
+        edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+        base += k
+    return Graph.from_edges(base, edges)
+
+
+@pytest.fixture
+def refutations(monkeypatch):
+    """The reasons `_refuted` returns while a test runs."""
+    refuted, seen = mis._refuted, []
+
+    def counted(*args):
+        reason = refuted(*args)
+        seen.append(reason)
+        return reason
+
+    monkeypatch.setattr(mis, "_refuted", counted)
+    return seen
+
+
+def test_unit_propagation_keeps_the_floor_goal_contract(refutations):
+    # pools on which the filter prunes: odd cycles and the triangle-poor
+    # c4free graphs leave one unit of slack per odd cycle in the bound
+    graphs = [gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), 2)
+              for n in (24, 32, 40, 44, 48) for m_frac in (0.1, 0.2)]
+    graphs += [cycles(5, 7), cycles(5, 5, 7, 7), cycles(7, 5, 7, 5, 5), petersen()]
+    rng = random.Random(53)
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for pool in (full, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            alpha = ref_max_independent(g.adj, pool)[0]
+            assert ref_alpha_colour(g.adj, pool, -1, g.n + 1) == alpha
+            for target in range(alpha + 2):
+                assert has_independent(g.adj, pool, target) == (target <= alpha)
+            for floor in range(-1, alpha + 2):
+                for goal in range(floor + 1, alpha + 3):
+                    got = _alpha(g.adj, pool, floor, goal)
+                    if alpha <= floor:
+                        assert got == floor
+                    elif alpha < goal:
+                        assert got == alpha
+                    else:
+                        assert goal <= got <= alpha
+    assert any(refutations)
+
+
+def test_value_search_matches_the_independent_oracle_on_the_benchmark_graphs():
+    # bench/alpha_table.json was computed by bench/oracle.py, which shares
+    # no code with hitlab.mis
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "alpha_table.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert len(table) == 13
+    for key, alpha in table.items():
+        assert key.startswith("c4free0.1-")
+        n, seed = map(int, key.split("-")[1:])
+        g = gen_c4_free_process(n, round(0.1 * n * (n - 1) / 2), seed)
+        assert _alpha(g.adj, (1 << n) - 1, 0, n) == alpha
+
+
+def test_every_kept_prefix_holds_its_bound(refutations):
+    # the pool less the kept vertices after the j-th holds at most
+    # kmin + j members of an independent set, by the frozen reference
+    rng = random.Random(59)
+    graphs = [gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), seed)
+              for n in (16, 24, 32) for m_frac in (0.1, 0.2) for seed in range(3)]
+    graphs += [cycles(5, 7), cycles(5, 5, 7, 7), petersen(), *random_gnp_corpus(20, 6, 16, seed=61)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for pool in (full, rng.getrandbits(g.n) | rng.getrandbits(g.n)):
+            for kmin in range(ref_clique_cover_bound(g.adj, pool) + 1):
+                branch = _branch_vertices(g.adj, pool, kmin)
+                rest = pool
+                for j in range(len(branch), 0, -1):
+                    low, bound = branch[j - 1]
+                    assert bound == kmin + j
+                    assert ref_max_independent(g.adj, rest)[0] <= bound
+                    rest ^= low
+                assert ref_max_independent(g.adj, rest)[0] <= kmin
+    assert any(refutations)
