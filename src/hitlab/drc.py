@@ -9,7 +9,8 @@ Z(x) = |N(x)| - a*Y/(beta*(1-a)*n) - a*(n-1)/2 with Y the missing-edge
 count inside N(x), take the argmax, strip a maximal matching of missing
 edges from N(x), and what survives together with x is a clique.
 
-All score arithmetic is exact (Fraction), so the argmax is deterministic.
+All score arithmetic is exact (Fraction), so the argmax is deterministic;
+cliqueness and freeness are asked of mis's decision search and walk.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Optional
 from .errors import FreenessViolationError, PreconditionError
 from .graph import Graph, InducedEmbedding, VertexSet, iter_bits
 from .io import FLOAT, INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record, read_vertex
+from .mis import _independent_sets, has_independent
 
 BRANCH_CODEGREE = "codegree"
 BRANCH_ARGMAX = "argmax"
@@ -48,10 +50,7 @@ class DrcTrace:
 
 
 def is_clique(g: Graph, vs: VertexSet) -> bool:
-    for v in iter_bits(vs.bits):
-        if vs.bits & ~g.adj[v] & ~(1 << v):
-            return False
-    return True
+    return not has_independent(g.adj, vs.bits, 2)
 
 
 def _scan(g: Graph, beta: float):
@@ -63,16 +62,15 @@ def _scan(g: Graph, beta: float):
             if (g.adj[u] >> v) & 1:
                 continue
             common = g.adj[u] & g.adj[v]
-            for a in iter_bits(common):
-                strangers = common & ~g.adj[a] & ~(1 << a)
-                if strangers:
-                    b = (strangers & -strangers).bit_length() - 1
-                    witness = InducedEmbedding((u, v), tuple(sorted((a, b))))
-                    raise FreenessViolationError(
-                        f"induced C4 found on missing pair ({u},{v}): "
-                        f"common neighbors {a},{b} are not adjacent",
-                        witness=witness,
-                    )
+            # most pairs of a C4-free graph share at most one neighbor
+            pair = common & (common - 1) and next(_independent_sets(g.adj, common, 2), 0)
+            if pair:
+                a, b = iter_bits(pair)
+                raise FreenessViolationError(
+                    f"induced C4 found on missing pair ({u},{v}): "
+                    f"common neighbors {a},{b} are not adjacent",
+                    witness=InducedEmbedding((u, v), (a, b)),
+                )
             if common.bit_count() >= threshold:
                 return u, v, common
     return None

@@ -295,33 +295,28 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
 def find_induced_kst(g: Graph, s: int, t: int) -> Optional[InducedEmbedding]:
     """Search for an induced K_{s,t}; None when the graph is free of it.
 
-    Exhaustive over ordered A-sides (lexicographically minimal witness
-    first); the B-side is the first set of the canonical walk
-    `mis._independent_sets`, so no pool meets the recursion limit.
-    Exponential in s+t; callers keep s+t small (<= 8 by default).
+    Independent A-sides grow in lexicographic order (the minimal witness
+    first) from an explicit stack; a side whose common neighbourhood has
+    fewer than t vertices is dropped, as no extension regains them.  The
+    B-side is the first set of the canonical walk `mis._independent_sets`,
+    so no pool meets the recursion limit.  Exponential in s+t.
     """
     from .mis import _independent_sets  # mis imports this module
 
     if not 1 <= s <= t:
         raise PreconditionError(f"need 1 <= s <= t, got s={s}, t={t}")
-    adj = g.adj
-    for a_side in combinations(range(g.n), s):
-        independent = True
-        for i, u in enumerate(a_side):
-            for v in a_side[i + 1 :]:
-                if (adj[u] >> v) & 1:
-                    independent = False
-                    break
-            if not independent:
-                break
-        if not independent:
-            continue
-        common = (1 << g.n) - 1
-        for u in a_side:
-            common &= adj[u]
-        if common.bit_count() < t:
-            continue
-        b_mask = next(_independent_sets(adj, common, t), None)
-        if b_mask is not None:
-            return InducedEmbedding(a_side, tuple(iter_bits(b_mask)))
+    adj, full = g.adj, (1 << g.n) - 1
+    stack = [((), full, full)]
+    while stack:
+        side, cand, common = stack.pop()
+        children = []
+        for u in iter_bits(cand):
+            shared = common & adj[u]
+            if shared.bit_count() < t:
+                continue
+            if len(side) + 1 < s:
+                children.append((side + (u,), cand & ~adj[u] & ~((2 << u) - 1), shared))
+            elif b_mask := next(_independent_sets(adj, shared, t), 0):
+                return InducedEmbedding(side + (u,), tuple(iter_bits(b_mask)))
+        stack.extend(reversed(children))
     return None

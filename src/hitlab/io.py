@@ -27,12 +27,21 @@ from typing import Any, Callable, Optional
 from .errors import GraphFormatError, VertexRangeError
 from .graph import Graph, VertexSet
 
+MAX_VERTICES = 10**6  # the readers refuse more before allocating the rows
+
 
 def _parse_int(tok: str, what: str, path, line_no: int) -> int:
     try:
         return int(tok)
     except ValueError:
         raise GraphFormatError(f"bad {what} {tok!r}", path=path, line=line_no) from None
+
+
+def _check_counts(n: int, m: int, where: str, path, line_no: int) -> None:
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"negative count in {where} ({n} {m})", path=path, line=line_no)
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} above the ceiling {MAX_VERTICES}", path=path, line=line_no)
 
 
 def _add_edge(rows: list[int], n: int, u: int, v: int, path, line_no: int) -> None:
@@ -64,10 +73,7 @@ def parse_edge_list(text: str, path: Optional[str] = None) -> Graph:
                 )
             n = _parse_int(toks[0], "vertex count", path, line_no)
             m = _parse_int(toks[1], "edge count", path, line_no)
-            if n < 0 or m < 0:
-                raise GraphFormatError(
-                    f"negative count in header ({n} {m})", path=path, line=line_no
-                )
+            _check_counts(n, m, "header", path, line_no)
             header = (n, m)
             rows = [0] * n
             continue
@@ -121,10 +127,7 @@ def parse_dimacs(text: str, path: Optional[str] = None) -> Graph:
                 )
             n = _parse_int(toks[2], "vertex count", path, line_no)
             m = _parse_int(toks[3], "edge count", path, line_no)
-            if n < 0 or m < 0:
-                raise GraphFormatError(
-                    f"negative count in problem line ({n} {m})", path=path, line=line_no
-                )
+            _check_counts(n, m, "problem line", path, line_no)
             header = (n, m)
             rows = [0] * n
         elif toks[0] == "e":

@@ -2,23 +2,24 @@
 
 Four searches, each answering one question.  The value search
 `_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
-search `has_independent(adj, pool, target)` is built on it; since only a
-number leaves them, they peel pool vertices of degree at most 1, stop
-at once when the greedy set meets the clique cover, and otherwise
-relabel by degree and branch in colour order (MCS on the complement)
-from an explicit stack, so no input size meets the recursion limit,
-skipping the branch vertices that unit propagation over the colour
-classes rules out.  The witness walk `_max_independent` returns the
-maximum independent set a frozen branch and bound reaches first, which
-certificates and the CLI's `witness:` line pin.  kernel decides "t
-meets every maximum independent set" by alpha(G - t) < alpha(G) with
-the decision search at any n, and asks nothing for a witness vertex
-that a neighbour can replace.  The canonical walk `_independent_sets(adj, pool, size)` yields every
+search `has_independent(adj, pool, target)` is built on it (targets up
+to 2 need no search); since only a number leaves them, they peel pool
+vertices of degree at most 1, stop at once when the greedy set meets
+the clique cover, and otherwise relabel by degree and branch in colour
+order (MCS on the complement) from an explicit stack, so no input size
+meets the recursion limit, skipping the branch vertices that unit
+propagation over the colour classes rules out.  The witness walk
+`_max_independent` returns the maximum independent set a frozen branch
+and bound reaches first, which certificates and the CLI's `witness:`
+line pin.  kernel decides "t meets every maximum independent set" by
+alpha(G - t) < alpha(G) with the decision search at any n, and asks
+nothing for a witness vertex that a neighbour can replace.  The
+canonical walk `_independent_sets(adj, pool, size)` yields every
 independent `size`-set of a pool in canonical order and opens a node
 only when the decision search says it holds a set: first_missed, the
-minimum hitting set's oracle, hitting.build_K and graph.find_induced_kst
-take its first set, and enumerate_mis (below a cap) and count_mis (in
-O(n) memory) run it out.
+minimum hitting set's oracle, hitting.build_K, graph.find_induced_kst
+and drc's freeness scan take its first set, and enumerate_mis (below a
+cap) and count_mis (in O(n) memory) run it out.
 
 Why the witness walk reproduces the frozen search: that search keeps
 its greedy incumbent unless a leaf is strictly larger, so its answer is
@@ -315,10 +316,12 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
 
 def has_independent(adj, pool: int, target: int) -> bool:
     """True iff the pool holds an independent set of `target` vertices."""
-    # the canonical walk asks at every step, often of a target of 0 or
-    # of a pool smaller than the target; neither needs a search
-    if target <= 0:
-        return True
+    # the canonical walk and every freeness check ask mostly for targets
+    # of at most 2: a count, or "is the pool not one (maximal) clique?"
+    if target <= 1:
+        return pool.bit_count() >= target
+    if target == 2:
+        return _clique_cover_bound(adj, pool, 1) > 1
     return pool.bit_count() >= target and _alpha(adj, pool, target - 1, target) >= target
 
 

@@ -24,6 +24,10 @@ DFS with a clique-cover cut) are the three original searches for "the
 first independent k-set in a pool", kept verbatim: the canonical walk
 that replaced them must give the same first set and the same list.
 
+ref_find_induced_kst is the original K_{s,t} search over every
+lexicographic s-combination, kept verbatim: the search that grows only
+independent A-sides must return the same witness.
+
 ref_alpha_colour is the value search before unit propagation, kept
 verbatim: every vertex whose colour class number can beat the incumbent
 is branched on, bounded by that number.  The search with the filter
@@ -43,9 +47,18 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from hitlab.analysis import derive_seed
-from hitlab.graph import Graph, VertexSet, gen_gnp, iter_bits
+from hitlab.errors import PreconditionError
+from hitlab.graph import Graph, InducedEmbedding, VertexSet, gen_gnp, iter_bits
 from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count, sample_Ij
-from hitlab.mis import _clique_cover_bound, _greedy_mis, _peel, _relabel, enumerate_mis, has_independent
+from hitlab.mis import (
+    _clique_cover_bound,
+    _greedy_mis,
+    _independent_sets,
+    _peel,
+    _relabel,
+    enumerate_mis,
+    has_independent,
+)
 
 # outer C5, inner pentagram, spokes
 PETERSEN_EDGES = [
@@ -69,6 +82,21 @@ def gen_book(pages: int) -> Graph:
     for i in range(pages):
         edges += [(0, 2 + i), (1, 2 + i)]
     return Graph.from_edges(2 + pages, edges)
+
+
+def gen_split(n: int, p: float, seed: int) -> Graph:
+    """Random split graph: a clique on ids 0..n/2-1, an independent set
+    on the rest, and each clique-to-rest pair, in order, an edge with
+    probability p.  Split graphs have no induced C4."""
+    rng = random.Random(seed)
+    half = n // 2
+    rows = [((1 << half) - 1) & ~(1 << u) for u in range(half)] + [0] * (n - half)
+    for u in range(half):
+        for v in range(half, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def brute_mis_family(g: Graph) -> tuple[int, list[int]]:
@@ -501,3 +529,36 @@ def ref_iter_mis(adj, pool: int, alpha: int) -> Iterator[int]:
             low = pool & -pool
             stack.append((pool ^ low, acc, size))
             stack.append((pool & ~adj[low.bit_length() - 1] & ~low, acc | low, size + 1))
+
+
+def ref_find_induced_kst(g: Graph, s: int, t: int) -> Optional[InducedEmbedding]:
+    """Search for an induced K_{s,t}; None when the graph is free of it.
+
+    Exhaustive over ordered A-sides (lexicographically minimal witness
+    first); the B-side is the first set of the canonical walk
+    `mis._independent_sets`, so no pool meets the recursion limit.
+    Exponential in s+t; callers keep s+t small (<= 8 by default).
+    """
+    if not 1 <= s <= t:
+        raise PreconditionError(f"need 1 <= s <= t, got s={s}, t={t}")
+    adj = g.adj
+    for a_side in combinations(range(g.n), s):
+        independent = True
+        for i, u in enumerate(a_side):
+            for v in a_side[i + 1 :]:
+                if (adj[u] >> v) & 1:
+                    independent = False
+                    break
+            if not independent:
+                break
+        if not independent:
+            continue
+        common = (1 << g.n) - 1
+        for u in a_side:
+            common &= adj[u]
+        if common.bit_count() < t:
+            continue
+        b_mask = next(_independent_sets(adj, common, t), None)
+        if b_mask is not None:
+            return InducedEmbedding(a_side, tuple(iter_bits(b_mask)))
+    return None

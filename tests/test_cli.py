@@ -611,6 +611,8 @@ def _cert_with(key, value):
         (["hit", "--graph", "{dir}/c7.el", "--schedule", "auto", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["mc-e", "--graph", "{dir}/c7.el", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["schedule", "--n", "100", "--delta", "1e-8"], {}),
+        (["mis", "--graph", "{dir}/huge.el"], {"huge.el": "3000000000 0\n"}),
+        (["mis", "--graph", "{dir}/huge.dimacs"], {"huge.dimacs": "p edge 3000000000 0\n"}),
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
@@ -618,7 +620,7 @@ def _cert_with(key, value):
         "n-values-not-int", "cap-not-int", "caps-not-object",
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
-        "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta",
+        "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
     ],
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):

@@ -21,7 +21,7 @@ from hitlab.graph import (
     min_degree_vertex,
 )
 from hitlab.mis import _independent_sets
-from helpers import has_induced_kst_brute, petersen
+from helpers import gen_split, has_induced_kst_brute, petersen, ref_find_induced_kst
 
 
 def test_iter_bits_ascending():
@@ -238,8 +238,17 @@ class TestFindInducedKst:
             g = gen_gnp(9, 0.35, seed=seed)
             found = find_induced_kst(g, 2, 2)
             assert (found is not None) == has_induced_kst_brute(g, 2, 2)
+            assert found == ref_find_induced_kst(g, 2, 2)
             if found is not None:
                 assert found.check(g)
+        graphs = [gen_gnp(n, p, seed=n) for n in (12, 18, 24) for p in (0.2, 0.5, 0.8)]
+        graphs += [gen_c4_free_process(n, n * (n - 1) // 20, seed=n) for n in (20, 32, 44, 56)]
+        graphs += [gen_split(40, p, seed=1) for p in (0.1, 0.5)]
+        graphs += [gen_cycle(9), gen_path(12), gen_cluster([3, 1, 4, 2]), gen_cluster([2] * 6)]
+        graphs.append(Graph.from_edges(21, [(0, v) for v in range(1, 21)]))
+        for g in graphs:
+            for s, t in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)):
+                assert find_induced_kst(g, s, t) == ref_find_induced_kst(g, s, t), (g, s, t)
 
     def test_bad_sides_rejected(self):
         with pytest.raises(PreconditionError):

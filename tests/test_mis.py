@@ -237,6 +237,22 @@ def test_value_and_decision_searches_match_the_subset_dp():
                         assert goal <= got <= alpha
 
 
+def test_targets_up_to_two_are_answered_without_a_search():
+    # a target of 1 is "the pool is not empty", 2 is "not a clique"
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)])
+    cases = [
+        (0, (True, False, False)),  # empty
+        (0b1000, (True, True, False)),  # one vertex
+        (0b0111, (True, True, False)),  # triangle
+        (0b110000, (True, True, False)),  # an edge
+        (0b1110, (True, True, True)),  # path 1-2-3
+        (0b111111, (True, True, True)),
+    ]
+    for pool, answers in cases:
+        assert tuple(has_independent(g.adj, pool, target) for target in (0, 1, 2)) == answers, pool
+    assert has_independent(g.adj, 0, -1)
+
+
 def test_the_walk_matches_the_three_searches_it_replaced():
     rng = random.Random(43)
     graphs = random_gnp_corpus(25, 1, 14, seed=47)
