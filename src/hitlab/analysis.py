@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, HitlabError, InfeasibleParamsError, PreconditionError, VerificationFailure
 from .graph import (
+    MAX_VERTICES,
     Graph,
     VertexSet,
     find_induced_kst,
@@ -40,6 +41,7 @@ from .hitting import (
     MODE_SAMPLED_CORE,
     AsymptoticSchedule,
     ParamSchedule,
+    _draw_bits,
     asymptotic_schedule,
     auto_bins,
     bin_and_select,
@@ -56,10 +58,21 @@ CSV_HEADER = "schema,family,n,seed,alpha,h_exact,t_bet,t_trivial,e_observed,runt
 CSV_SCHEMA = "1"
 
 
+def _seed_prefix(master: int, label: str):
+    """The hash of derive_seed's "{master}:{label}:" prefix; a stream's
+    seeds are its copies with the index appended."""
+    return hashlib.blake2b(f"{master}:{label}:".encode(), digest_size=8)
+
+
+def _seed_at(prefix, index: int) -> int:
+    digest = prefix.copy()
+    digest.update(str(index).encode())
+    return int.from_bytes(digest.digest(), "big")
+
+
 def derive_seed(master: int, index: int, label: str = "") -> int:
     """Stable 64-bit per-trial seed; independent streams per label."""
-    digest = hashlib.blake2b(f"{master}:{label}:{index}".encode(), digest_size=8)
-    return int.from_bytes(digest.digest(), "big")
+    return _seed_at(_seed_prefix(master, label), index)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +181,11 @@ def monte_carlo_e(
 ) -> McEstimate:
     """Sample I_j `trials` times and measure e each time.
 
-    Per-trial seeds are derived from the master seed, and samples keep
-    trial order.  Each trial draws what sample_Ij draws; K and e are
-    built once per distinct I_j, as e is the outside vertices' summed
-    I-degree less that of K's.
+    Each trial reseeds one generator with derive_seed(seed, trial,
+    "mc-e") and makes sample_Ij's one draw, so I_j is byte-identical to
+    Random.sample from a Random of that seed; samples keep trial order.  K
+    and e are built once per distinct I_j, as e is the outside vertices'
+    summed I-degree less that of K's.
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
@@ -184,12 +198,14 @@ def monte_carlo_e(
     degree = {v: (g.adj[v] & i_bits).bit_count() for v in iter_bits(outside)}
     base_e = sum(degree.values())
     members = i_set.members()
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed  # the C seeding alone; Random.seed adds type checks
+    prefix = _seed_prefix(seed, "mc-e")
     e_of: dict[int, int] = {}
     samples = []
     for idx in range(trials):
-        i_j = 0
-        for v in random.Random(derive_seed(seed, idx, "mc-e")).sample(members, k):
-            i_j |= 1 << v
+        reseed(_seed_at(prefix, idx))
+        i_j = _draw_bits(rng, members, k)
         e = e_of.get(i_j)
         if e is None:
             k_bits = build_K(g, VertexSet(g.n, i_j), sched.s, sched.t).bits & outside
@@ -303,7 +319,13 @@ def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, in
         q = int(family.get("q", 0))
         if q < 1:
             raise ConfigError("cluster family needs sizes or q >= 1")
-        return f"cluster:q{q}", None, lambda n, seed: gen_cluster([q] * max(1, n // q))
+
+        def build(n: int, seed: int) -> Graph:
+            if n > MAX_VERTICES:  # before the list of n // q sizes
+                raise PreconditionError(f"vertex count {n} above the ceiling {MAX_VERTICES}")
+            return gen_cluster([q] * max(1, n // q))
+
+        return f"cluster:q{q}", None, build
     if kind == "gnp":
         p = float(family.get("p", -1.0))
         if not 0.0 <= p <= 1.0:

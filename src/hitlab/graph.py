@@ -191,11 +191,20 @@ class Graph:
 # ---------------------------------------------------------------------------
 # deterministic generators
 
+MAX_VERTICES = 10**6  # no generator or reader allocates rows for more
+MAX_PAIRS = 10**6  # gen_c4_free_process shuffles the list of all C(n, 2) pairs
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise PreconditionError(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"vertex count {n} above the ceiling {MAX_VERTICES}")
+
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p); each unordered pair kept with probability p."""
-    if n < 0:
-        raise PreconditionError(f"negative vertex count {n}")
+    _check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
@@ -215,6 +224,7 @@ def gen_cluster(sizes: list[int]) -> Graph:
     if any(q < 1 for q in sizes):
         raise PreconditionError(f"clique sizes must be >= 1, got {sizes}")
     n = sum(sizes)
+    _check_vertex_count(n)
     rows = [0] * n
     base = 0
     for q in sizes:
@@ -226,12 +236,14 @@ def gen_cluster(sizes: list[int]) -> Graph:
 
 
 def gen_path(n: int) -> Graph:
+    _check_vertex_count(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise PreconditionError(f"cycle needs n >= 3, got {n}")
+    _check_vertex_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -249,12 +261,14 @@ def gen_c4_free_process(n: int, target_m: int, seed: int) -> Graph:
     The result is C4-subgraph-free, hence induced-C4-free.  May saturate
     below target_m; the returned graph's m records what was achieved.
     """
-    if n < 0:
-        raise PreconditionError(f"negative vertex count {n}")
+    _check_vertex_count(n)
     if target_m < 0:
         raise PreconditionError(f"negative target edge count {target_m}")
-    if target_m > n * (n - 1) // 2:
+    pair_count = n * (n - 1) // 2
+    if target_m > pair_count:
         raise PreconditionError(f"target_m {target_m} exceeds C({n},2)")
+    if pair_count > MAX_PAIRS:
+        raise PreconditionError(f"C({n},2) = {pair_count} pairs above the ceiling {MAX_PAIRS}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     random.Random(seed).shuffle(pairs)
     rows = [0] * n

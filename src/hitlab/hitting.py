@@ -254,15 +254,50 @@ def bin_and_select(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> tuple[in
     return best + 1, VertexSet(g.n, masks[best])
 
 
+def _draw_bits(rng: random.Random, population, k: int) -> int:
+    """The bits of the k-subset that CPython's Random.sample draws from
+    `population` (distinct vertex ids, 0 <= k <= their number): the same
+    getrandbits calls, so the same subset and the same generator state.
+
+    randbelow(m) is getrandbits(m.bit_length()), redrawn while >= m.  Up
+    to setsize ids, sample swaps each pick out of a copied pool; above
+    it, it redraws an index until one is not yet taken.
+    """
+    n = len(population)
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    bits = 0
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            width = m.bit_length()
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
+            bits |= 1 << pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        width = n.bit_length()
+        taken = set()
+        for _ in range(k):
+            j = getrandbits(width)
+            while j >= n or j in taken:
+                j = getrandbits(width)
+            taken.add(j)
+            bits |= 1 << population[j]
+    return bits
+
+
 def sample_Ij(i_set: VertexSet, k: int, seed: int) -> VertexSet:
-    """Uniform k-subset of I, without replacement, fixed by the seed."""
+    """Uniform k-subset of I, without replacement, fixed by the seed: the
+    one draw, byte-identical to Random.sample from a Random(seed)."""
     if k > i_set.size:
         raise PreconditionError(f"cannot sample k={k} from |I|={i_set.size}")
     if k < 0:
         raise PreconditionError(f"negative sample size {k}")
-    rng = random.Random(seed)
-    chosen = rng.sample(i_set.members(), k)
-    return VertexSet.of(i_set.n, chosen)
+    return VertexSet(i_set.n, _draw_bits(random.Random(seed), i_set.members(), k))
 
 
 def build_K(g: Graph, i_j: VertexSet, s: int, t: int) -> VertexSet:
@@ -516,9 +551,7 @@ def sample_hitting_set(
     hit = None
     hit_trial = None
     for i in range(trials):
-        bits = 0
-        for v in rng.sample(ids, p):
-            bits |= 1 << v
+        bits = _draw_bits(rng, ids, p)
         if has_independent(g.adj, full & ~bits, alpha):
             fails += 1
         elif hit is None:

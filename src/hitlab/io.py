@@ -25,9 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .errors import GraphFormatError, VertexRangeError
-from .graph import Graph, VertexSet
-
-MAX_VERTICES = 10**6  # the readers refuse more before allocating the rows
+from .graph import MAX_VERTICES, Graph, VertexSet
 
 
 def _parse_int(tok: str, what: str, path, line_no: int) -> int:

@@ -14,9 +14,10 @@ every bin for every outside vertex.
 
 ref_min_hitting_set, ref_sample_hitting_set and ref_monte_carlo_e are
 the original solvers over the listed family of maximum independent sets
-and the original one-build_K-per-trial Monte Carlo loop, kept verbatim:
-the implicit hitting set loop, the count-only sampler and the cached
-Monte Carlo loop must give the same results.
+and the original one-build_K-per-trial Monte Carlo loop, kept verbatim
+(both draw with random.Random.sample itself, not with the library's
+draw): the implicit hitting set loop, the count-only sampler and the
+cached Monte Carlo loop must give the same results.
 
 ref_find_independent_subset (the recursive popcount-cut DFS),
 ref_first_missed (the rebuild by decision calls) and ref_iter_mis (the
@@ -49,7 +50,7 @@ from typing import Iterator, Optional
 from hitlab.analysis import derive_seed
 from hitlab.errors import PreconditionError
 from hitlab.graph import Graph, InducedEmbedding, VertexSet, gen_gnp, iter_bits
-from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count, sample_Ij
+from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count
 from hitlab.mis import (
     _clique_cover_bound,
     _greedy_mis,
@@ -452,13 +453,14 @@ def ref_sample_hitting_set(g: Graph, p: int, seed: int, trials: int) -> SampleHi
 
 
 def ref_monte_carlo_e(g: Graph, i_set: VertexSet, sched, trials: int, seed: int) -> tuple[int, ...]:
-    """The samples of the original loop: sample_Ij, build_K and a full
-    recount of e in every trial."""
+    """The samples of the original loop: a fresh random.Random per trial
+    and its own sample, build_K and a full recount of e in every trial."""
     _, s_j = bin_and_select(g, i_set, sched)
     base = i_set.bits | s_j.bits
     samples = []
     for idx in range(trials):
-        i_j = sample_Ij(i_set, sched.k, derive_seed(seed, idx, "mc-e"))
+        chosen = random.Random(derive_seed(seed, idx, "mc-e")).sample(i_set.members(), sched.k)
+        i_j = VertexSet.of(g.n, chosen)
         k_set = build_K(g, i_j, sched.s, sched.t)
         samples.append(residual_edge_count(g, i_set.bits, base | k_set.bits))
     return tuple(samples)

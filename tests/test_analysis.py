@@ -41,7 +41,7 @@ from hitlab.errors import FreenessViolationError
 from hitlab.graph import gen_c4_free_process
 from hitlab.hitting import bin_and_select, build_K
 from hitlab.mis import alpha_with_witness
-from helpers import ref_monte_carlo_e
+from helpers import address_space_cap, ref_monte_carlo_e
 
 P10_SCHED = ParamSchedule(s=2, t=2, delta=0.15, k=2, bins=((2.0, 3.0), (1.0, 2.0)))
 
@@ -494,6 +494,14 @@ class TestRunExperiment:
         assert len(recs) == 1
         assert recs[0].error == "not induced-K_{2,2}-free: (0, 2)/(1, 3)"
         assert records_to_csv(recs).splitlines()[1] == "1,cycle,4,0,,,,,,"
+
+    def test_cell_above_the_vertex_ceiling_recorded(self):
+        # refused before the generators (or the q-cluster size list) allocate
+        families = [{"kind": "cluster", "q": 1}, {"kind": "path"}, {"kind": "c4free", "m_frac": 0.0}]
+        cfg = load_config({"families": families, "n_values": [10**9], "seeds": [0]})
+        with address_space_cap():
+            recs = run_experiment(cfg)
+        assert [rec.error for rec in recs] == ["precondition: vertex count 1000000000 above the ceiling 1000000"] * 3
 
     def test_infeasible_cell_recorded(self):
         cfg = load_config(

@@ -613,6 +613,10 @@ def _cert_with(key, value):
         (["schedule", "--n", "100", "--delta", "1e-8"], {}),
         (["mis", "--graph", "{dir}/huge.el"], {"huge.el": "3000000000 0\n"}),
         (["mis", "--graph", "{dir}/huge.dimacs"], {"huge.dimacs": "p edge 3000000000 0\n"}),
+        (["gen", "--family", "path", "--n", "100000000"], {}),
+        (["gen", "--family", "gnp", "--n", "100000000", "--p", "0"], {}),
+        (["gen", "--family", "cluster", "--sizes", "100000000"], {}),
+        (["gen", "--family", "c4free", "--n", "40000", "--m", "0"], {}),
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
@@ -621,6 +625,7 @@ def _cert_with(key, value):
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
+        "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs",
     ],
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):

@@ -23,6 +23,7 @@ from hitlab.hitting import (
     MODE_TRIVIAL,
     HittingCertificate,
     ParamSchedule,
+    _draw_bits,
     asymptotic_schedule,
     auto_bins,
     bin_and_select,
@@ -270,6 +271,27 @@ class TestSampleIj:
             sample_Ij(i_set, 3, 0)
         with pytest.raises(PreconditionError):
             sample_Ij(i_set, -1, 0)
+
+    def test_draw_is_random_sample(self):
+        # the one draw makes Random.sample's getrandbits calls: the same
+        # subset and the same generator state, on both of its branches,
+        # with one generator reused as sample_hitting_set reuses it
+        for n in [*range(30), 40, 64, 100, 300]:
+            for k in sorted({k for k in (0, 1, 2, 3, 5, 6, 7, 12, n // 2, n) if k <= n}):
+                for seed in range(40):
+                    want_rng, got_rng = random.Random(seed), random.Random(seed)
+                    for _ in range(3):
+                        want = sum(1 << v for v in want_rng.sample(range(n), k))
+                        assert _draw_bits(got_rng, range(n), k) == want, (n, k, seed)
+                    assert got_rng.getstate() == want_rng.getstate(), (n, k, seed)
+
+    def test_matches_random_sample_of_the_members(self):
+        for n, ids in ((12, [0, 3, 5, 7, 9, 11]), (120, range(1, 120, 2)), (200, range(0, 200, 3))):
+            i_set = VertexSet.of(n, ids)
+            for k in sorted({1, 2, 3, min(7, i_set.size), i_set.size}):
+                for seed in range(20):
+                    want = random.Random(seed).sample(i_set.members(), k)
+                    assert sample_Ij(i_set, k, seed) == VertexSet.of(n, want)
 
 
 class TestBuildK:
