@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -342,6 +343,19 @@ def choose_H(g: Graph, i_set: VertexSet, r_set: VertexSet, h_size: int) -> Verte
     return VertexSet.of(i_set.n, ranked[:h_size])
 
 
+def _printable_h_size(sched: ParamSchedule) -> Optional[int]:
+    """sched.h_size, or None when it has more digits than int-to-text
+    conversion allows.  C(k, m) >= (k/m)^m, m = min(s, k - s), rules out
+    a huge |H| first, so |H| is computed only below about 10^4 digits."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    m = min(sched.s, sched.k - sched.s)
+    if sched.t > 1 and m and m * (math.log10(sched.k) - math.log10(m)) > limit + 1:
+        return None
+    h_size = sched.h_size
+    # 8^limit < 10^limit, so the bit length settles all but huge values
+    return h_size if h_size.bit_length() < 3 * limit or h_size < 10 ** limit else None
+
+
 def construct_hitting_set(
     g: Graph, sched: ParamSchedule, seed: int, allow_trivial: bool = False
 ) -> HittingCertificate:
@@ -357,8 +371,8 @@ def construct_hitting_set(
     if d < sched.delta * g.n - 1:
         return closed_neighborhood_hitting(g, v, seed=seed)
     alpha, i_set = alpha_with_witness(g)
-    h_size = sched.h_size
-    if h_size > alpha or sched.k > alpha:
+    h_size = _printable_h_size(sched)
+    if h_size is None or h_size > alpha or sched.k > alpha:
         if allow_trivial:
             return HittingCertificate(
                 mode=MODE_TRIVIAL,
@@ -368,6 +382,10 @@ def construct_hitting_set(
                 center=None,
                 size_accounting=(0, 0, 0),
                 **{**_empty_cert_fields(g.n), "I": i_set},
+            )
+        if h_size is None:
+            raise InfeasibleParamsError(
+                f"schedule needs |H| above alpha={alpha}: (t-1)*C(k,s)+1 has too many digits to print"
             )
         raise InfeasibleParamsError(
             f"schedule needs |H|={h_size} and k={sched.k} inside alpha={alpha}"

@@ -92,13 +92,9 @@ def parse_edge_list(text: str, path: Optional[str] = None) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def format_edge_list(g: Graph, comment: Optional[str] = None) -> str:
-    lines = []
-    if comment:
-        for chunk in comment.splitlines():
-            lines.append(f"# {chunk}")
+def format_edge_list(g: Graph) -> str:
     edges = g.edges()
-    lines.append(f"{g.n} {len(edges)}")
+    lines = [f"{g.n} {len(edges)}"]
     lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
@@ -157,13 +153,9 @@ def parse_dimacs(text: str, path: Optional[str] = None) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def format_dimacs(g: Graph, comment: Optional[str] = None) -> str:
-    lines = []
-    if comment:
-        for chunk in comment.splitlines():
-            lines.append(f"c {chunk}")
+def format_dimacs(g: Graph) -> str:
     edges = g.edges()
-    lines.append(f"p edge {g.n} {len(edges)}")
+    lines = [f"p edge {g.n} {len(edges)}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
@@ -176,8 +168,6 @@ def sniff_format(text: str) -> str:
             continue
         if line[0] in "pce" and (len(line) == 1 or line[1] in " \t"):
             return "dimacs"
-        if line.startswith("#"):
-            return "edgelist"
         return "edgelist"
     return "edgelist"
 
@@ -204,11 +194,11 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
     raise GraphFormatError(f"unknown format {fmt!r}", path=path)
 
 
-def save_graph(g: Graph, path: str, fmt: str = "edgelist", comment=None) -> None:
+def save_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:
     if fmt == "dimacs":
-        text = format_dimacs(g, comment=comment)
+        text = format_dimacs(g)
     elif fmt == "edgelist":
-        text = format_edge_list(g, comment=comment)
+        text = format_edge_list(g)
     else:
         raise GraphFormatError(f"unknown format {fmt!r}", path=path)
     with open(path, "w", encoding="utf-8") as fh:

@@ -4,36 +4,37 @@ Four searches, each answering one question.  The value search
 `_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
 search `has_independent(adj, pool, target)` is built on it (targets up
 to 2 need no search); since only a number leaves them, they peel pool
-vertices of degree at most 1, stop at once when the greedy set meets
-the clique cover, and otherwise relabel by degree and branch in colour
-order (MCS on the complement) from an explicit stack, so no input size
-meets the recursion limit, skipping the branch vertices that unit
-propagation over the colour classes rules out.  The witness walk
-`_max_independent` returns the maximum independent set a frozen branch
-and bound reaches first, which certificates and the CLI's `witness:`
-line pin.  kernel decides "t meets every maximum independent set" by
-alpha(G - t) < alpha(G) with the decision search at any n, and asks
-nothing for a witness vertex that a neighbour can replace.  The
-canonical walk `_independent_sets(adj, pool, size)` yields every
-independent `size`-set of a pool in canonical order and opens a node
-only when the decision search says it holds a set: first_missed, the
-minimum hitting set's oracle, hitting.build_K, graph.find_induced_kst
-and drc's freeness scan take its first set, and enumerate_mis (below a
-cap) and count_mis (in O(n) memory) run it out.
+vertices of degree at most 1, stop at once when the greedy set meets the
+clique cover, and otherwise relabel by degree and branch in colour order
+(MCS on the complement) from an explicit stack, so no input size meets
+the recursion limit, skipping the branch vertices that unit propagation
+over the colour classes rules out.  The witness walk `_max_independent`
+peels with `_peel`, then branches, and so returns the maximum
+independent set a frozen branch and bound reaches first, which
+certificates and the CLI's `witness:` line pin.  kernel decides "t meets
+every maximum independent set" by alpha(G - t) < alpha(G) with the
+decision search at any n, and asks nothing for a witness vertex that a
+neighbour can replace.  The canonical walk `_independent_sets(adj, pool,
+size)` yields every independent `size`-set of a pool in canonical order
+and opens a node only when the decision search says it holds a set:
+first_missed, the minimum hitting set's oracle, hitting.build_K,
+graph.find_induced_kst and drc's freeness scan take its first set, and
+enumerate_mis (below a cap) and count_mis (in O(n) memory) run it out.
 
-Why the witness walk reproduces the frozen search: that search keeps
-its greedy incumbent unless a leaf is strictly larger, so its answer is
-the greedy set when that has size alpha (always so when it matches the
-id-order clique cover, as on clusters and paths) and otherwise its
-first leaf of size alpha in depth-first order.  Forced inclusions keep
-alpha and the include and exclude branches split the pool's independent
-sets, so the include subtree holds a leaf of size alpha iff the include
-pool holds an independent set of the remaining size.  The witness walk
-asks the decision search exactly that at each branch vertex and goes
-straight to that leaf.  The greedy incumbent keeps pool degrees in
-buckets and the clique cover is built one clique at a time; both give
-what a full rescan and a first-fit cover would (the test suite keeps
-those plain versions and the frozen search as references).
+Why the witness walk reproduces the frozen search: that search keeps its
+greedy incumbent unless a leaf is strictly larger, so its answer is the
+greedy set when that has size alpha (always so when it matches the
+id-order clique cover, as on clusters and paths) and otherwise its first
+leaf of size alpha in depth-first order.  Its forced inclusions are
+`_peel`'s takes and keep alpha, and the include and exclude branches
+split the pool's independent sets, so the include subtree holds a leaf
+of size alpha iff the include pool holds an independent set of the
+remaining size.  The witness walk asks the decision search exactly that
+at each branch vertex and goes straight to that leaf.  The greedy
+incumbent keeps pool degrees in buckets and the clique cover is built
+one clique at a time; both give what a full rescan and a first-fit cover
+would (the test suite keeps those plain versions and the frozen search
+as references).
 
 Why the value search may skip vertices (the MaxSAT bound of Li and Quan,
 AAAI 2010, in independent-set form): at a node with size members taken
@@ -158,22 +159,25 @@ def _clique_cover_bound(adj, pool: int, limit: int) -> int:
 
 
 def _peel(adj, pool: int) -> tuple[int, int]:
-    """(count, rest): take pool vertices of pool degree at most 1, each
-    with its neighbour gone, until none is left.  Each take keeps alpha,
-    so alpha(pool) = count + alpha(rest)."""
-    count, todo = 0, pool
+    """(taken, rest): take pool vertices of pool degree at most 1, each
+    with its neighbour gone, until none is left; alpha(pool) = |taken| +
+    alpha(rest).  Each take is the smallest-id such vertex (every pool
+    vertex outside `todo` has degree 2 or more).  The witness walk
+    depends on this exact rule: new reductions go beside it, not into it.
+    """
+    taken, todo = 0, pool
     while todo:
         low = todo & -todo
         todo ^= low
         nb = adj[low.bit_length() - 1] & pool
         if nb & (nb - 1):
             continue
-        count += 1
+        taken |= low
         pool ^= nb | low
         if nb:
             # the neighbour's other neighbours may have dropped to degree 1
             todo = (todo | adj[nb.bit_length() - 1]) & pool
-    return count, pool
+    return taken, pool
 
 
 def _relabel(adj, pool: int) -> list[int]:
@@ -285,6 +289,7 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     stack, so deep searches need no recursion.
     """
     taken, pool = _peel(adj, pool)
+    taken = taken.bit_count()
     best, goal = floor - taken, goal - taken
     if pool.bit_count() <= best:
         return floor
@@ -300,7 +305,7 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
         pool, size, branch = node
         if branch is None:
             more, pool = _peel(rows, pool)
-            size += more
+            size += more.bit_count()
             if size > best:
                 best = size
             branch = _branch_vertices(rows, pool, best - size)
@@ -327,10 +332,11 @@ def has_independent(adj, pool: int, target: int) -> bool:
 
 def _max_independent(adj, pool: int) -> tuple[int, int]:
     """(size, bits) of the maximum independent set inside the pool that
-    the frozen branch and bound reaches first: greedy incumbent, forced
-    inclusion of pool vertices of pool degree at most 1 (smallest id
-    first), branching on the highest-degree pool vertex (smallest id on
-    ties), include side first.  The walk goes straight to that set.
+    the frozen branch and bound reaches first.  Unless the greedy set is
+    maximum, the walk peels with `_peel`, then branches on the pool
+    vertex of highest pool degree (smallest id on ties), taking the
+    include side when it still holds the rest of an alpha-set, and
+    repeats until the pool is empty.
     """
     greedy = _greedy_mis(adj, pool)
     size = greedy.bit_count()
@@ -338,34 +344,19 @@ def _max_independent(adj, pool: int) -> tuple[int, int]:
     alpha = size if cover == size else _alpha(adj, pool, size, cover)
     if alpha == size:
         return size, greedy
-    acc, size = 0, 0
-    while pool:
-        v_branch, d_branch = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            pd = (adj[v] & pool).bit_count()
-            if pd <= 1:
-                break
-            if pd > d_branch:
-                v_branch, d_branch = v, pd
-        if pd <= 1:
-            # v plus a non-neighbor of its at most one pool neighbor
-            # is never worse than skipping v
-            pool = (pool & ~adj[v]) ^ low
-            acc |= low
-            size += 1
-            continue
-        bit = 1 << v_branch
-        include = pool & ~adj[v_branch] & ~bit
-        need = alpha - size - 1
-        if has_independent(adj, include, need):
-            pool, acc, size = include, acc | bit, size + 1
+    acc = 0
+    while True:
+        taken, pool = _peel(adj, pool)
+        acc |= taken
+        if not pool:
+            return alpha, acc
+        v = max(iter_bits(pool), key=lambda u: (adj[u] & pool).bit_count())
+        bit = 1 << v
+        include = pool & ~adj[v] & ~bit
+        if has_independent(adj, include, alpha - acc.bit_count() - 1):
+            pool, acc = include, acc | bit
         else:
             pool ^= bit
-    return alpha, acc
 
 
 def _full_pool(g: Graph) -> int:

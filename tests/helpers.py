@@ -277,6 +277,7 @@ def ref_alpha_colour(adj, pool: int, floor: int, goal: int) -> int:
     need no recursion.
     """
     taken, pool = _peel(adj, pool)
+    taken = taken.bit_count()
     best, goal = floor - taken, goal - taken
     if pool.bit_count() <= best:
         return floor
@@ -292,7 +293,7 @@ def ref_alpha_colour(adj, pool: int, floor: int, goal: int) -> int:
         pool, size, branch = node
         if branch is None:
             more, pool = _peel(rows, pool)
-            size += more
+            size += more.bit_count()
             if size > best:
                 best = size
             branch = []

@@ -4,6 +4,7 @@ Monte Carlo determinism, config plumbing, CSV schema."""
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,9 +38,9 @@ from hitlab.analysis import (
     resolve_schedule,
 )
 from hitlab import analysis
-from hitlab.errors import FreenessViolationError
+from hitlab.errors import FreenessViolationError, VerificationFailure
 from hitlab.graph import gen_c4_free_process
-from hitlab.hitting import bin_and_select, build_K
+from hitlab.hitting import bin_and_select, build_K, construct_hitting_set
 from hitlab.mis import alpha_with_witness
 from helpers import address_space_cap, ref_monte_carlo_e
 
@@ -516,6 +517,27 @@ class TestRunExperiment:
         assert recs[0].error is not None
         assert recs[0].error.startswith("infeasible")
         assert recs[0].t_bet is None
+
+    def test_failed_verification_aborts_the_run(self, monkeypatch):
+        # a certificate whose T misses a maximum independent set stops the
+        # whole experiment with the certificate in the message
+        def construct(g, sched, seed):
+            return replace(construct_hitting_set(g, sched, seed), T=VertexSet.empty(g.n))
+
+        monkeypatch.setattr(analysis, "construct_hitting_set", construct)
+        with pytest.raises(VerificationFailure, match="hitting set failed verification\nmode: sampled-core\n"):
+            run_experiment(load_config(SMOKE_CONFIG))
+
+    def test_huge_h_cell_recorded(self):
+        # |H| = (t-1)*C(k,s)+1 past the int-to-str digit limit, and one
+        # too large to compute at all
+        for k in (30000, 10**8):
+            schedule = {"mode": "auto", "k": k, "s": k // 2, "t": k // 2}
+            cfg = load_config({"families": [{"kind": "cycle"}], "n_values": [5], "seeds": [0], "schedule": schedule})
+            recs = run_experiment(cfg)
+            assert recs[0].error == (
+                "infeasible: schedule needs |H| above alpha=2: (t-1)*C(k,s)+1 has too many digits to print"
+            )
 
     def test_include_timings_column(self):
         recs = run_experiment(load_config(SMOKE_CONFIG))

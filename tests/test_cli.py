@@ -296,6 +296,23 @@ class TestHit:
         assert code == 0
         assert "mode: trivial" in out
 
+    @pytest.mark.parametrize(
+        "k,s,t,shown",
+        [
+            (100, 2, 2, "|H|=4951 and k=100 inside alpha=2"),
+            (14278, 7139, 7139, "and k=14278 inside alpha=2"),  # |H| has 4300 digits
+            (14280, 7140, 7140, "|H| above alpha=2: (t-1)*C(k,s)+1 has too many digits to print"),
+            (10**8, 5 * 10**7, 5 * 10**7, "|H| above alpha=2: (t-1)*C(k,s)+1 has too many digits to print"),
+        ],
+    )
+    def test_infeasible_h_is_sized_before_it_is_printed(self, capsys, c5_path, k, s, t, shown):
+        code, _, err = cli(
+            capsys, "hit", "--graph", c5_path, "--schedule", "auto", "--k", str(k), "--s", str(s), "--t", str(t)
+        )
+        assert code == 3
+        assert err.startswith("error:infeasible: schedule needs |H|")
+        assert err.endswith(shown + "\n")
+
     def test_freeness_violation_surfaces(self, capsys, c4_path):
         code, _, err = cli(
             capsys, "hit", "--graph", c4_path, "--theta", "1:2", "--delta", "0.4", "--seed", "0",
@@ -617,6 +634,9 @@ def _cert_with(key, value):
         (["gen", "--family", "gnp", "--n", "100000000", "--p", "0"], {}),
         (["gen", "--family", "cluster", "--sizes", "100000000"], {}),
         (["gen", "--family", "c4free", "--n", "40000", "--m", "0"], {}),
+        (["hit", "--graph", "{c5}", "--schedule", "auto", "--k", "30000", "--s", "15000", "--t", "15000"], {}),
+        (["hit", "--graph", "{c5}", "--schedule", "auto", "--k", "100000000", "--s", "50000000", "--t", "50000000"],
+         {}),
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
@@ -625,7 +645,8 @@ def _cert_with(key, value):
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
-        "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs",
+        "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs", "hit-h-over-digit-limit",
+        "hit-h-astronomical",
     ],
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from hitlab.hitting import (
     MODE_LOW_DEGREE,
     MODE_SAMPLED_CORE,
     MODE_TRIVIAL,
+    MODE_UNIFORM_SAMPLE,
     HittingCertificate,
     ParamSchedule,
     _draw_bits,
@@ -54,6 +56,7 @@ from helpers import (
 )
 
 UNIT_BIN = ((1.0, 2.0),)
+P10_SCHED = ParamSchedule(s=2, t=2, delta=0.15, k=2, bins=((2.0, 3.0), (1.0, 2.0)))
 
 
 def simple_sched(**kw):
@@ -541,8 +544,9 @@ class TestValidateCertificate:
         bad_t = replace(cert, T=VertexSet.of(5, [0, 2, 3]))
         with pytest.raises(VerificationFailure, match="T != H"):
             validate_certificate(c5, bad_t)
-        bad_k = replace(cert, K=VertexSet.of(5, [3]))
-        with pytest.raises(VerificationFailure):
+        # K = {1} -> {1, 3}: vertex 3 is in S_j, so the residual set and NH stay as they were
+        bad_k = replace(cert, K=VertexSet.of(5, [1, 3]))
+        with pytest.raises(VerificationFailure, match="K differs from the common-neighborhood union of I_j"):
             validate_certificate(c5, bad_k, sched)
         bad_host = replace(cert, n=6)
         with pytest.raises(VerificationFailure, match="host mismatch"):
@@ -565,8 +569,59 @@ class TestValidateCertificate:
     def test_low_degree_center_checked(self, c5):
         cert = closed_neighborhood_hitting(c5, 1)
         validate_certificate(c5, cert)
-        with pytest.raises(VerificationFailure):
+        with pytest.raises(VerificationFailure, match="T is not the closed neighborhood of the center"):
             validate_certificate(c5, replace(cert, center=2))
+        with pytest.raises(VerificationFailure, match="low-degree certificate without center vertex"):
+            validate_certificate(c5, replace(cert, center=None))
+
+    def test_trivial_and_unknown_modes_checked(self, c5):
+        trivial = replace(closed_neighborhood_hitting(c5, 1), mode=MODE_TRIVIAL, center=None)
+        with pytest.raises(VerificationFailure, match="trivial certificate must carry T = V"):
+            validate_certificate(c5, trivial)
+        validate_certificate(c5, replace(trivial, T=VertexSet.full(5)))
+        with pytest.raises(VerificationFailure, match="unknown mode 'bogus'"):
+            validate_certificate(c5, replace(trivial, mode="bogus"))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"H": [0, 3, 8]}, "H not inside I"),
+            ({"I_j": [3, 6, 8]}, "I_j not inside I"),
+            ({"K": [4, 7]}, "K intersects I"),
+            ({"S_j": [4, 9]}, "S_j intersects I"),
+            ({"I": [0, 2, 4, 5, 6, 8]}, "I is not independent"),
+            ({"H": [0, 4, 8]}, "|H|=3 but schedule forces 2"),
+            ({"I_j": [4, 6, 8]}, "|I_j|=3 but schedule samples k=2"),
+            ({"bin_index": 3}, "bin index 3 outside schedule"),
+            ({"bin_index": 0}, "bin index 0 outside schedule"),
+            ({"bin_index": 1}, "vertex 9 with I-degree 1 outside bin [2.0,3.0)"),
+            ({"K": [5, 7]}, "K differs from the common-neighborhood union of I_j"),
+        ],
+        ids=[
+            "H-outside-I", "Ij-outside-I", "K-meets-I", "Sj-meets-I", "I-not-independent", "H-size", "Ij-size",
+            "bin-above", "bin-zero", "Sj-outside-bin", "K-not-rebuilt",
+        ],
+    )
+    def test_each_invariant_refuses_alone(self, p10, fields, message):
+        # P_10, seed 0: I = 0 2 4 6 8, S_j = 9 (bin 2), I_j = 6 8, K = 7,
+        # H = 0 8, NH = 1, T = 0 1 8 9.  NH, T and the size accounting are
+        # rebuilt from the tampered fields, so only the named check fires
+        cert = construct_hitting_set(p10, P10_SCHED, seed=0)
+        validate_certificate(p10, cert, P10_SCHED)
+        sets = {key: VertexSet.of(10, ids) for key, ids in fields.items() if isinstance(ids, list)}
+        bad = replace(cert, **{**fields, **sets})
+        residual = (bad.I | bad.K | bad.S_j).complement()
+        nh = VertexSet.of(10, [v for h in bad.H for v in range(10) if p10.has_edge(h, v)]) & residual
+        bad = replace(bad, NH=nh, T=bad.H | nh | bad.S_j, size_accounting=(bad.H.size, nh.size, bad.S_j.size))
+        with pytest.raises(VerificationFailure, match=re.escape(f"certificate invalid: {message}")):
+            validate_certificate(p10, bad, P10_SCHED)
+
+    def test_nh_and_size_accounting_checked(self, p10):
+        cert = construct_hitting_set(p10, P10_SCHED, seed=0)
+        with pytest.raises(VerificationFailure, match="size accounting out of sync"):
+            validate_certificate(p10, replace(cert, size_accounting=(2, 1, 2)))
+        with pytest.raises(VerificationFailure, match="NH is not N\\(H\\) restricted to the residual set"):
+            validate_certificate(p10, replace(cert, NH=VertexSet.of(10, [1, 3]), T=VertexSet.of(10, [0, 1, 3, 8, 9])))
 
 
 class TestReplay:
@@ -593,3 +648,14 @@ class TestReplay:
     def test_low_degree_replays_without_schedule(self, c5):
         cert = closed_neighborhood_hitting(c5, 0, seed=1)
         assert replay_check(c5, cert)
+        assert not replay_check(c5, replace(cert, center=None))
+
+    def test_sampled_core_without_seed_fails_replay(self, c5):
+        sched = simple_sched()
+        assert not replay_check(c5, replace(construct_hitting_set(c5, sched, seed=7), seed=None), sched)
+
+    def test_uniform_sample_replays_as_a_verification(self, c5):
+        cert = sample_hitting_set(c5, 3, seed=5, trials=20).to_certificate()
+        assert cert.mode == MODE_UNIFORM_SAMPLE
+        assert replay_check(c5, cert)
+        assert not replay_check(c5, replace(cert, T=VertexSet.of(5, [0])))

@@ -119,10 +119,3 @@ def test_load_and_save_auto_detect(tmp_path):
         load_graph(str(tmp_path / "absent.el"))
     with pytest.raises(GraphFormatError, match="unknown format"):
         load_graph(str(el), fmt="gml")
-
-
-def test_comment_writer_round_trip(tmp_path):
-    g = gen_cluster([2, 2])
-    text = format_edge_list(g, comment="two dominoes\nsecond line")
-    assert text.startswith("# two dominoes\n# second line\n")
-    assert parse_edge_list(text) == g

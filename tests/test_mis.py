@@ -20,6 +20,7 @@ from hitlab.mis import (
     _greedy_mis,
     _independent_sets,
     _max_independent,
+    _peel,
     alpha_with_witness,
     enumerate_mis,
     first_missed,
@@ -191,6 +192,53 @@ def test_incremental_kernels_match_the_reference_on_random_pools():
 def test_incremental_kernels_match_the_reference_on_c4free(n, seed):
     g = gen_c4_free_process(n, round(0.1 * n * (n - 1) / 2), seed)
     assert_matches_reference(g.adj, (1 << n) - 1)
+
+
+def test_the_walk_matches_the_reference_where_the_greedy_set_falls_short():
+    # only pools whose greedy set is not maximum reach the walk
+    rng = random.Random(71)
+    graphs = random_gnp_corpus(100, 20, 40, seed=73)
+    graphs += [gen_c4_free_process(n, round(0.15 * n * (n - 1) / 2), seed) for n in (24, 32, 40, 48) for seed in range(6)]
+    walks = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for pool in [full] + [rng.getrandbits(g.n) | rng.getrandbits(g.n) for _ in range(3)]:
+            alpha, bits = ref_max_independent(g.adj, pool)
+            if _greedy_mis(g.adj, pool).bit_count() < alpha:
+                walks += 1
+                assert _max_independent(g.adj, pool) == (alpha, bits)
+    assert walks >= 100
+
+
+def rescan_peel(adj, pool: int) -> tuple[int, int]:
+    # take the smallest-id pool vertex of pool degree at most 1, rescanning
+    # the whole pool after every take
+    taken = 0
+    while True:
+        low = next((1 << v for v in members(pool) if (adj[v] & pool).bit_count() <= 1), 0)
+        if not low:
+            return taken, pool
+        taken |= low
+        pool &= ~(adj[low.bit_length() - 1] | low)
+
+
+def test_peel_takes_what_a_rescan_takes_and_keeps_alpha():
+    rng = random.Random(83)
+    graphs = random_gnp_corpus(60, 1, 16, seed=89)
+    graphs += [gen_gnp(n, 2.5 / n, seed) for n in (8, 12, 16) for seed in range(6)]
+    graphs += [gen_path(9), gen_cycle(11), gen_cluster([2, 1, 3, 2])]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for pool in (full, rng.getrandbits(g.n), rng.getrandbits(g.n) | rng.getrandbits(g.n)):
+            taken, rest = _peel(g.adj, pool)
+            assert (taken, rest) == rescan_peel(g.adj, pool)
+            assert independence_check(g, VertexSet(g.n, taken))
+            assert not rest & taken and not (rest | taken) & ~pool
+            for v in members(taken):
+                assert not g.adj[v] & rest
+            for v in members(rest):
+                assert (g.adj[v] & rest).bit_count() >= 2
+            assert taken.bit_count() + pool_alpha(g, rest) == pool_alpha(g, pool)
 
 
 def test_greedy_matches_the_reference_on_a_long_path():
