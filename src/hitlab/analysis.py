@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import random
-import statistics
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,9 +210,27 @@ def monte_carlo_e(
             k_bits = build_K(g, VertexSet(g.n, i_j), sched.s, sched.t).bits & outside
             e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
         samples.append(e)
-    mean = sum(samples) / trials
-    std_error = statistics.stdev(samples) / math.sqrt(trials) if trials > 1 else 0.0
+    total = sum(samples)
+    mean = total / trials
+    if trials > 1:
+        variance_num = trials * sum(e * e for e in samples) - total * total
+        std_error = _sqrt_ratio(variance_num, trials * (trials - 1)) / math.sqrt(trials)
+    else:
+        std_error = 0.0
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num/den), correctly rounded: an integer root of about 55 bits,
+    its last bit set when inexact (round to odd), then one rounding to
+    float.  The same value on every Python version."""
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    return math.ldexp(root | (root * root * den != num), q)
 
 
 def expected_residual_edges(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> Fraction:

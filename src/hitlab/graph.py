@@ -247,19 +247,15 @@ def gen_cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _closes_c4(rows: list[int], u: int, v: int) -> bool:
-    # adding uv creates a 4-cycle iff some edge (a, b) has a~v and b~u
-    for a in iter_bits(rows[v]):
-        if rows[a] & rows[u] & ~(1 << v):
-            return True
-    return False
-
-
 def gen_c4_free_process(n: int, target_m: int, seed: int) -> Graph:
     """Random edge-addition process that never completes a 4-cycle subgraph.
 
     The result is C4-subgraph-free, hence induced-C4-free.  May saturate
     below target_m; the returned graph's m records what was achieved.
+
+    two[x] holds the vertices other than x that share a neighbour with x.
+    Adding uv closes a 4-cycle iff some neighbour of v is in two[u], one
+    AND; u and v are not adjacent yet, so neither is in the other's rows.
     """
     _check_vertex_count(n)
     if target_m < 0:
@@ -269,17 +265,30 @@ def gen_c4_free_process(n: int, target_m: int, seed: int) -> Graph:
         raise PreconditionError(f"target_m {target_m} exceeds C({n},2)")
     if pair_count > MAX_PAIRS:
         raise PreconditionError(f"C({n},2) = {pair_count} pairs above the ceiling {MAX_PAIRS}")
+    if target_m == 0:
+        return Graph(n, (0,) * n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     random.Random(seed).shuffle(pairs)
     rows = [0] * n
+    two = [0] * n
     added = 0
     for u, v in pairs:
-        if added >= target_m:
+        if rows[v] & two[u]:
+            continue
+        ru, rv = rows[u], rows[v]
+        # through v, u now shares a neighbour with each vertex of N(v);
+        # through u, v with each vertex of N(u)
+        two[u] |= rv
+        for b in iter_bits(rv):
+            two[b] |= 1 << u
+        two[v] |= ru
+        for b in iter_bits(ru):
+            two[b] |= 1 << v
+        rows[u] = ru | 1 << v
+        rows[v] = rv | 1 << u
+        added += 1
+        if added == target_m:
             break
-        if not _closes_c4(rows, u, v):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            added += 1
     return Graph(n, tuple(rows))
 
 

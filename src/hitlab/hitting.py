@@ -615,7 +615,9 @@ def size_bound_check(cert: HittingCertificate, sched: ParamSchedule, e_observed:
         raise PreconditionError(f"size bound audits {MODE_SAMPLED_CORE} runs, got {cert.mode!r}")
     if e_observed < 0:
         raise PreconditionError(f"negative edge count {e_observed}")
-    h = sched.h_size
+    h = _printable_h_size(sched)
+    if h is None:
+        return True  # |T| <= n < |H|
     alpha = cert.I.size
     rhs = Fraction(h) + Fraction(h * e_observed, alpha) + Fraction(sched.delta) * cert.n / 2
     return cert.T.size < rhs
@@ -704,8 +706,11 @@ def validate_certificate(g: Graph, cert: HittingCertificate, sched: Optional[Par
     if cert.size_accounting != (cert.H.size, cert.NH.size, cert.S_j.size):
         fail("size accounting out of sync")
     if sched is not None:
-        if cert.H.size != sched.h_size:
-            fail(f"|H|={cert.H.size} but schedule forces {sched.h_size}")
+        h_size = _printable_h_size(sched)
+        if h_size is None:
+            fail(f"|H|={cert.H.size} but schedule forces (t-1)*C(k,s)+1, too many digits to print")
+        if cert.H.size != h_size:
+            fail(f"|H|={cert.H.size} but schedule forces {h_size}")
         if cert.I_j.size != sched.k:
             fail(f"|I_j|={cert.I_j.size} but schedule samples k={sched.k}")
         if not 1 <= cert.bin_index <= len(sched.bins):

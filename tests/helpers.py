@@ -34,6 +34,10 @@ verbatim: every vertex whose colour class number can beat the incumbent
 is branched on, bounded by that number.  The search with the filter
 must answer every floor/goal query the same way.
 
+ref_gen_c4_free_process is the original C4-free process, kept
+verbatim: it tests each pair with one AND per neighbour of v, and the
+process that keeps the distance-two sets must add the same edges.
+
 address_space_cap bounds what a test may allocate, so a case that
 would build a huge structure fails with MemoryError instead of taking
 the host's memory.
@@ -49,7 +53,7 @@ from typing import Iterator, Optional
 
 from hitlab.analysis import derive_seed
 from hitlab.errors import PreconditionError
-from hitlab.graph import Graph, InducedEmbedding, VertexSet, gen_gnp, iter_bits
+from hitlab.graph import MAX_PAIRS, Graph, InducedEmbedding, VertexSet, _check_vertex_count, gen_gnp, iter_bits
 from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count
 from hitlab.mis import (
     _clique_cover_bound,
@@ -565,3 +569,39 @@ def ref_find_induced_kst(g: Graph, s: int, t: int) -> Optional[InducedEmbedding]
         if b_mask is not None:
             return InducedEmbedding(a_side, tuple(iter_bits(b_mask)))
     return None
+
+
+def _ref_closes_c4(rows: list[int], u: int, v: int) -> bool:
+    # adding uv creates a 4-cycle iff some edge (a, b) has a~v and b~u
+    for a in iter_bits(rows[v]):
+        if rows[a] & rows[u] & ~(1 << v):
+            return True
+    return False
+
+
+def ref_gen_c4_free_process(n: int, target_m: int, seed: int) -> Graph:
+    """Random edge-addition process that never completes a 4-cycle subgraph.
+
+    The result is C4-subgraph-free, hence induced-C4-free.  May saturate
+    below target_m; the returned graph's m records what was achieved.
+    """
+    _check_vertex_count(n)
+    if target_m < 0:
+        raise PreconditionError(f"negative target edge count {target_m}")
+    pair_count = n * (n - 1) // 2
+    if target_m > pair_count:
+        raise PreconditionError(f"target_m {target_m} exceeds C({n},2)")
+    if pair_count > MAX_PAIRS:
+        raise PreconditionError(f"C({n},2) = {pair_count} pairs above the ceiling {MAX_PAIRS}")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    random.Random(seed).shuffle(pairs)
+    rows = [0] * n
+    added = 0
+    for u, v in pairs:
+        if added >= target_m:
+            break
+        if not _ref_closes_c4(rows, u, v):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            added += 1
+    return Graph(n, tuple(rows))

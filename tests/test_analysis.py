@@ -3,6 +3,7 @@ Monte Carlo determinism, config plumbing, CSV schema."""
 
 import json
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -272,6 +273,28 @@ class TestMonteCarloE:
         assert est.samples == (8,)
         assert est.mean == 8.0
         assert est.std_error == 0.0
+
+    def test_std_error_is_the_correctly_rounded_root(self):
+        # std_error * sqrt(trials) is the float nearest the square root of
+        # the exact sample variance, whatever the Python version
+        def nearest(f, ratio):
+            below = (Fraction(math.nextafter(f, 0.0)) + Fraction(f)) / 2 if f else Fraction(0)
+            above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+            return below * below <= ratio <= above * above
+
+        rng = random.Random(3)
+        for _ in range(400):
+            xs = [rng.randrange(rng.choice([2, 30, 10**6, 10**15])) for _ in range(rng.choice([2, 3, 9, 300]))]
+            n, total = len(xs), sum(xs)
+            num, den = n * sum(x * x for x in xs) - total * total, n * (n - 1)
+            assert nearest(analysis._sqrt_ratio(num, den), Fraction(num, den)), xs
+        g = gen_c4_free_process(40, 78, 1)
+        _, i_set = alpha_with_witness(g)
+        for k, seed in ((2, 0), (5, 1), (9, 5)):
+            est = monte_carlo_e(g, i_set, resolve_schedule(g, {"mode": "auto", "k": k}), 300, seed)
+            mean = Fraction(sum(est.samples), 300)
+            variance = sum((x - mean) ** 2 for x in est.samples) / 299
+            assert est.std_error == analysis._sqrt_ratio(variance.numerator, variance.denominator) / math.sqrt(300)
 
     def test_bounded_by_crossing_envelope(self):
         g = gen_path(10)

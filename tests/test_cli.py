@@ -12,7 +12,7 @@ import pytest
 import hitlab
 from hitlab.cli import build_parser, dispatch, main
 from hitlab.analysis import resolve_schedule
-from hitlab.graph import Graph, gen_cluster, gen_cycle, gen_path
+from hitlab.graph import Graph, gen_c4_free_process, gen_cluster, gen_cycle, gen_path
 from hitlab.hitting import certificate_to_text, construct_hitting_set
 from hitlab.io import format_edge_list, load_graph
 from helpers import address_space_cap
@@ -531,6 +531,15 @@ class TestMcE:
         code, out, _ = cli(capsys, "mc-e", "--graph", c5_path, "--trials", "5")
         assert code == 0
         assert out == "trials: 5\nmean: 2.0\nstd_error: 0.0\n"
+
+    def test_std_error_digits_pinned(self, capsys, tmp_path):
+        # statistics.stdev on Python 3.10 printed 0.2330181020810098 here
+        path = write_graph(tmp_path, "c4free40.el", gen_c4_free_process(40, 78, 1))
+        code, out, _ = cli(
+            capsys, "mc-e", "--graph", path, "--schedule", "auto", "--k", "9", "--seed", "5", "--trials", "300"
+        )
+        assert code == 0
+        assert out == "trials: 300\nmean: 28.72\nstd_error: 0.23301810208100973\n"
 
     def test_k_must_fit_alpha(self, capsys, c5_path):
         code, _, err = cli(capsys, "mc-e", "--graph", c5_path, "--k", "3")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +23,12 @@ from hitlab.graph import (
     iter_bits,
     min_degree_vertex,
 )
+from hitlab.io import format_edge_list
 from hitlab.mis import _independent_sets
-from helpers import gen_split, has_induced_kst_brute, petersen, ref_find_induced_kst
+from helpers import gen_split, has_induced_kst_brute, petersen, ref_find_induced_kst, ref_gen_c4_free_process
+
+# sha256 of format_edge_list for c4free graphs, one "n m_frac seed digest" a line
+C4FREE_GRAPHS = Path(__file__).parent / "golden" / "c4free_graphs.txt"
 
 
 def test_iter_bits_ascending():
@@ -147,10 +154,43 @@ def test_gen_c4_free_process_is_c4_free():
 
 
 def test_c4_free_process_saturates():
-    # K_{1,n-1} plus nothing: a star is the densest C4-free graph on
-    # tiny n is not needed; just check m never exceeds the target
-    g = gen_c4_free_process(10, 45, 2)
-    assert g.m <= 45
+    # short of its target the process has tried every pair: no two
+    # vertices share two neighbours, and each non-edge would close a C4
+    short = 0
+    for n in (4, 5, 6, 9, 14, 20, 31):
+        pair_count = n * (n - 1) // 2
+        for target in (pair_count, round(0.3 * pair_count)):
+            for seed in range(3):
+                g = gen_c4_free_process(n, target, seed)
+                assert g.m <= target
+                if g.m == target:
+                    continue
+                short += 1
+                for u, w in combinations(range(n), 2):
+                    assert (g.adj[u] & g.adj[w]).bit_count() <= 1, (n, target, seed, u, w)
+                    if not g.has_edge(u, w):
+                        assert any(g.has_edge(a, b) for a in g.neighbors(u) for b in g.neighbors(w)), (u, w)
+    assert short == 30
+
+
+def test_c4_free_process_matches_the_reference():
+    for n in [*range(30), 40, 56, 80]:
+        pair_count = n * (n - 1) // 2
+        targets = {0, min(1, pair_count), round(0.1 * pair_count), round(0.2 * pair_count), pair_count // 2, pair_count}
+        for target in sorted(targets):
+            for seed in range(3):
+                assert gen_c4_free_process(n, target, seed).adj == ref_gen_c4_free_process(n, target, seed).adj
+
+
+def test_c4_free_process_matches_the_golden_hashes():
+    # hashes written by the original process: a change in random.shuffle
+    # between Python versions would change every c4free graph
+    rows = [line.split() for line in C4FREE_GRAPHS.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 99
+    for n, m_frac, seed, digest in rows:
+        n, m_frac, seed = int(n), float(m_frac), int(seed)
+        g = gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), seed)
+        assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest, (n, m_frac, seed)
 
 
 def test_complement_involution():

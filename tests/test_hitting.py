@@ -552,6 +552,17 @@ class TestValidateCertificate:
         with pytest.raises(VerificationFailure, match="host mismatch"):
             validate_certificate(c5, bad_host)
 
+    @pytest.mark.parametrize("k", [14278, 14280, 10**8])
+    def test_huge_h_is_sized_before_it_is_printed(self, c5, k):
+        # s = t = k/2: |H| = (t-1)*C(k,s)+1 has 4,300 digits at k = 14,278,
+        # is past the digit limit at 14,280 and is never computed at 10^8
+        cert = construct_hitting_set(c5, simple_sched(), seed=7)
+        sched = simple_sched(k=k, s=k // 2, t=k // 2)
+        forced = sched.h_size if k == 14278 else "(t-1)*C(k,s)+1, too many digits to print"
+        with pytest.raises(VerificationFailure, match=re.escape(f"certificate invalid: |H|=2 but schedule forces {forced}")):
+            validate_certificate(c5, cert, sched)
+        assert size_bound_check(cert, sched, residual_edges(c5, cert))
+
     def test_freeness_violation_in_K_raises(self):
         # C4: the common neighborhood {1, 3} of I_j = {0, 2} is independent
         c4 = gen_cycle(4)
