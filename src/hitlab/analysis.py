@@ -81,8 +81,12 @@ def derive_seed(master: int, index: int, label: str = "") -> int:
 def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
     """P[X <= s-1] for X = |I_j & N_I(v)| under a uniform k-subset I_j.
 
-    Exactly the probability that v escapes the excluded set K.
+    Exactly the probability that v escapes the excluded set K.  |I| is
+    at most the vertex ceiling, as on every graph hitlab reads; above
+    it, C(|I|, k) alone could run for minutes.
     """
+    if i_size > MAX_VERTICES:
+        raise PreconditionError(f"|I|={i_size} above the vertex ceiling {MAX_VERTICES}")
     if not 0 <= d <= i_size:
         raise PreconditionError(f"need 0 <= d <= |I|, got d={d}, |I|={i_size}")
     if not 0 <= k <= i_size:
@@ -107,8 +111,14 @@ def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, f
     exact = float(hypergeom_tail(i_size, d, k, s))
     ratio = d / i_size if i_size else 0.0
     est = 0.0
-    for x in range(0, s):
-        est += math.comb(k, x) * (1.0 - ratio) ** (k - x) * ratio ** x
+    c = 1  # C(k, x), kept up to date as x grows
+    for x in range(0, min(s, k + 1)):  # C(k, x) = 0 above k
+        try:
+            est += c * (1.0 - ratio) ** (k - x) * ratio ** x
+        except OverflowError:  # C(k, x) is past the float range, so 0 < x < k
+            if 0.0 < ratio < 1.0:
+                est += math.exp(math.log(c) + (k - x) * math.log1p(-ratio) + x * math.log(ratio))
+        c = c * (k - x) // (x + 1)
     return exact, est
 
 

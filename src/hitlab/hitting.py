@@ -12,7 +12,8 @@ only |T| does.  Every run yields a replayable HittingCertificate.
 Also here: the exact minimum hitting set (the oracle the construction is
 sandwiched against), an implicit hitting set loop that covers a growing
 subfamily of maximum independent sets and asks the alpha oracle for the
-next one missed, so the family is never listed; uniform-sampling search
+next one missed, so the family is never listed, run on each connected
+component alone; uniform-sampling search
 with its union bound; and the budget / size-bound arithmetic used to
 audit the averaging step.
 """
@@ -469,8 +470,26 @@ def _cover(edges: list[int], budget: int, pool: int) -> Optional[int]:
     return None
 
 
-def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
-    """h(g) with the lexicographically least minimum hitting set.
+def _components(adj, pool: int) -> list[int]:
+    """Vertex sets of the connected components of the pool, in order of
+    their smallest vertex, each grown by a breadth-first search."""
+    comps = []
+    while pool:
+        comp = frontier = pool & -pool
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= adj[v]
+            frontier = reach & pool & ~comp
+            comp |= frontier
+        pool ^= comp
+        comps.append(comp)
+    return comps
+
+
+def _component_min_hitting_set(adj, comp: int, cap: int) -> Optional[tuple[int, int]]:
+    """(h, bits of the lex-least minimum hitting set) of the component
+    `comp`, or None when h exceeds cap.
 
     An implicit hitting set loop over the alpha oracle; the family of
     maximum independent sets is never listed.  `feasible(prefix, budget,
@@ -488,8 +507,7 @@ def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
     vertices above v.  That is the test the full-family search made, so
     the witness is the same lex-least set.
     """
-    adj, full = g.adj, _full_pool(g)
-    alpha = _alpha(adj, full, 0, g.n)
+    alpha = _alpha(adj, comp, 0, comp.bit_count())
     family: list[int] = []
 
     def feasible(prefix: int, budget: int, pool: int) -> bool:
@@ -497,23 +515,54 @@ def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
             cover = _cover([e for e in family if not e & prefix], budget, pool)
             if cover is None:
                 return False
-            missed = next(_independent_sets(adj, full & ~(prefix | cover), alpha), None)
+            missed = next(_independent_sets(adj, comp & ~(prefix | cover), alpha), None)
             if missed is None:
                 return True
             family.append(missed)
 
     size = 0
-    while not feasible(0, size, full):
+    while not feasible(0, size, comp):
         size += 1
-    chosen, start = 0, 0
+        if size > cap:
+            return None
+    chosen, rest = 0, comp
     for budget in range(size, 0, -1):
-        for v in range(start, g.n):
+        for v in iter_bits(rest):
             bit = 1 << v
-            if feasible(chosen | bit, budget - 1, full & ~((bit << 1) - 1)):
+            above = comp & ~((bit << 1) - 1)
+            if feasible(chosen | bit, budget - 1, above):
                 break
         chosen |= bit
-        start = v + 1
-    return size, VertexSet(g.n, chosen)
+        rest = above
+    return size, chosen
+
+
+def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
+    """h(g) with the lexicographically least minimum hitting set.
+
+    Solved one connected component at a time.  A maximum independent
+    set of g is one maximum independent set per component, so T meets
+    every one of them iff, for some component C, T & C meets every
+    maximum independent set of C: otherwise one set per component
+    missing T would together miss T.  Hence h(g) = min over components
+    of h(C), every minimum hitting set lies inside one component, and
+    the lex-least one is the least, by sorted member list, of the
+    components' lex-least sets of that size.  Each component runs the
+    implicit hitting set loop of `_component_min_hitting_set` with its
+    own alpha, and stops its size search once it passes the best h so
+    far.
+    """
+    adj = g.adj
+    best: Optional[tuple[int, list[int]]] = None
+    for comp in _components(adj, _full_pool(g)):
+        found = _component_min_hitting_set(adj, comp, g.n if best is None else best[0])
+        if found is None:
+            continue
+        key = (found[0], list(iter_bits(found[1])))
+        if best is None or key < best:
+            best = key
+    size, members = best
+    return size, VertexSet.of(g.n, members)
 
 
 # ---------------------------------------------------------------------------

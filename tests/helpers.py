@@ -104,6 +104,18 @@ def gen_split(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def shuffled_union(parts: list[Graph], rng: random.Random) -> Graph:
+    """Disjoint union of the parts under a random relabelling, so the
+    components' ids interleave."""
+    perm = list(range(sum(g.n for g in parts)))
+    rng.shuffle(perm)
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(len(perm), edges)
+
+
 def brute_mis_family(g: Graph) -> tuple[int, list[int]]:
     """(alpha, every maximum independent set as a mask) by subset DP."""
     n = g.n

@@ -8,6 +8,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -496,10 +497,35 @@ SMOKE_CSV = (
 )
 
 
+# the benchmark's sweep cells: each family with its n values, seeds 1 and 2
+SWEEP_CELLS = [
+    ({"kind": "c4free", "m_frac": 0.2}, [24, 30]),
+    ({"kind": "c4free", "m_frac": 0.1}, [24, 30]),
+    ({"kind": "cycle"}, [24, 30]),
+    ({"kind": "cluster", "q": 2}, [22, 24, 26]),
+    ({"kind": "cluster", "q": 3}, [21, 24, 27]),
+    ({"kind": "path"}, [28, 30, 32]),
+]
+SWEEP_CELLS_CSV = Path(__file__).parent / "golden" / "sweep_cells.csv"
+
+
 class TestRunExperiment:
     def test_smoke_golden_csv(self):
         recs = run_experiment(load_config(SMOKE_CONFIG))
         assert records_to_csv(recs) == SMOKE_CSV
+
+    def test_sweep_cells_golden_csv(self):
+        recs = []
+        for family, n_values in SWEEP_CELLS:
+            recs += run_experiment(load_config({
+                "families": [family],
+                "n_values": n_values,
+                "seeds": [1, 2],
+                "schedule": {"mode": "auto", "s": 2, "t": 2, "k": 2},
+                "caps": {"minhit_n": 32, "enum_n": 48},
+            }))
+        assert all(rec.h_exact is not None for rec in recs)
+        assert records_to_csv(recs) == SWEEP_CELLS_CSV.read_text()
 
     def test_record_invariants(self):
         recs = run_experiment(load_config(SMOKE_CONFIG))

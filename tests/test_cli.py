@@ -2,9 +2,11 @@
 thin-adapter promise that CLI output equals the library call's output."""
 
 import inspect
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -525,6 +527,23 @@ class TestProb:
         assert code == 2
         assert err.startswith("error:precondition:")
 
+    def test_s_past_k_adds_nothing(self, capsys):
+        # C(k, x) = 0 for x > k; those terms raised OverflowError at a huge s
+        # and ZeroDivisionError at d = |I| (0.0 to a negative power)
+        args = ["prob", "--i-size", "10", "--d", "2", "--k", "3", "--s"]
+        want = (0, "exact: 1.0\nbinomial_form: 1.0000000000000002\n", "")
+        for s in ("4", "5", "100000000"):
+            assert cli(capsys, *args, s) == want
+        assert cli(capsys, "prob", "--i-size", "1", "--d", "1", "--k", "0", "--s", "2") == (
+            0, "exact: 1.0\nbinomial_form: 1.0\n", "")
+
+    def test_binomial_coefficient_past_the_float_range(self, capsys):
+        # C(2000, 1000) has 600 digits; the term is taken in log form
+        code, out, err = cli(capsys, "prob", "--i-size", "4000", "--d", "2000", "--k", "2000", "--s", "1001")
+        assert code == 0 and err == ""
+        exact = sum(Fraction(math.comb(2000, x), 2 ** 2000) for x in range(1001))
+        assert abs(float(out.split("binomial_form: ")[1]) - float(exact)) < 1e-12
+
 
 class TestMcE:
     def test_c5_is_deterministic(self, capsys, c5_path):
@@ -646,6 +665,7 @@ def _cert_with(key, value):
         (["hit", "--graph", "{c5}", "--schedule", "auto", "--k", "30000", "--s", "15000", "--t", "15000"], {}),
         (["hit", "--graph", "{c5}", "--schedule", "auto", "--k", "100000000", "--s", "50000000", "--t", "50000000"],
          {}),
+        (["prob", "--i-size", "100000000", "--d", "5", "--k", "50000000", "--s", "2"], {}),
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
@@ -655,7 +675,7 @@ def _cert_with(key, value):
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
         "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs", "hit-h-over-digit-limit",
-        "hit-h-astronomical",
+        "hit-h-astronomical", "prob-i-size-above-the-ceiling",
     ],
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):

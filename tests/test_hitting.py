@@ -16,7 +16,7 @@ from hitlab.errors import (
     PreconditionError,
     VerificationFailure,
 )
-from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_path
+from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path
 from hitlab.hitting import (
     MAX_BINS,
     MODE_LOW_DEGREE,
@@ -53,6 +53,7 @@ from helpers import (
     ref_bin_and_select,
     ref_min_hitting_set,
     ref_sample_hitting_set,
+    shuffled_union,
 )
 
 UNIT_BIN = ((1.0, 2.0),)
@@ -443,6 +444,34 @@ class TestMinHittingSet:
     def test_empty_graph_is_a_precondition(self):
         with pytest.raises(PreconditionError, match="empty graph"):
             min_hitting_set(Graph.from_edges(0, []))
+
+    def test_disjoint_unions_match_the_enumeration_solver(self):
+        rng = random.Random(15)
+        for _ in range(60):
+            parts = [gen_gnp(rng.randint(1, 6), rng.choice((0.2, 0.4, 0.6, 0.8)), rng.randrange(1 << 30))
+                     for _ in range(rng.randint(1, 4))]
+            g = shuffled_union(parts, rng)
+            assert min_hitting_set(g) == ref_min_hitting_set(g)
+
+    @pytest.mark.parametrize(
+        "g,want",
+        [
+            # three components with h = 2: {1, 2} is the least as an integer
+            (Graph.from_edges(6, [(0, 5), (1, 2), (3, 4)]), [0, 5]),
+            # {7} already hits the first component found; {1} hits its own
+            (Graph.from_edges(9, [(0, 7), (0, 8)]), [1]),
+            # the first component found is the K5, with h = 5
+            (gen_cluster([5, 3, 4, 3]), [5, 6, 7]),
+        ],
+        ids=["not-the-integer-least", "not-the-first-component", "not-the-first-clique"],
+    )
+    def test_witness_is_the_least_over_the_components(self, g, want):
+        assert min_hitting_set(g) == (len(want), VertexSet.of(g.n, want))
+
+    def test_many_components(self):
+        # h(q x K_3) = 3 with the lex-least triangle; one loop over the whole
+        # graph grows its subfamily with q and needed minutes at q = 100
+        assert min_hitting_set(gen_cluster([3] * 300)) == (3, VertexSet.of(900, [0, 1, 2]))
 
 
 class TestSampleHittingSet:
