@@ -81,9 +81,13 @@ def derive_seed(master: int, index: int, label: str = "") -> int:
 def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
     """P[X <= s-1] for X = |I_j & N_I(v)| under a uniform k-subset I_j.
 
-    Exactly the probability that v escapes the excluded set K.  |I| is
-    at most the vertex ceiling, as on every graph hitlab reads; above
-    it, C(|I|, k) alone could run for minutes.
+    Exactly the probability that v escapes the excluded set K.  Sums the
+    tail with fewer terms, the upper one as 1 - P[k - X <= k - s], k - X
+    being the part of I_j outside N_I(v).  The first nonzero term, at
+    x = max(0, d + k - |I|), is C(b, a)/C(|I|, a) for a <= b the values
+    min(d, k) and |I| - max(d, k); the rest follow in integers by the
+    ratio t_(x+1)/t_x = (d-x)(k-x)/((x+1)(|I|-d-k+x+1)).  |I| is at most
+    the vertex ceiling, as on every graph hitlab reads.
     """
     if i_size > MAX_VERTICES:
         raise PreconditionError(f"|I|={i_size} above the vertex ceiling {MAX_VERTICES}")
@@ -93,11 +97,23 @@ def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
         raise PreconditionError(f"need 0 <= k <= |I|, got k={k}, |I|={i_size}")
     if s < 1:
         raise PreconditionError(f"need s >= 1, got {s}")
-    total = math.comb(i_size, k)
-    acc = 0
-    for x in range(0, min(s - 1, k, d) + 1):
-        acc += math.comb(d, x) * math.comb(i_size - d, k - x)
-    return Fraction(acc, total)
+    lo, hi = max(0, d + k - i_size), min(d, k)
+    if s > hi:
+        return Fraction(1)
+    if s <= lo:
+        return Fraction(0)
+    upper = s - lo > hi - s + 1
+    d, last = (i_size - d, k - s) if upper else (d, s - 1)
+    m, rest = min(d, k), i_size - max(d, k)
+    a = min(m, rest)
+    num = den = 1
+    # Horner's rule, from the last ratio back to the first term's, x = m - a
+    for x in range(last - 1, m - a - 1, -1):
+        step = (x + 1) * (i_size - d - k + x + 1)
+        num, den = den * step + (d - x) * (k - x) * num, den * step
+    num *= math.comb(max(m, rest), a)
+    den *= math.comb(i_size, a)
+    return Fraction(den - num if upper else num, den)
 
 
 def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, float]:

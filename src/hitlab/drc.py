@@ -54,8 +54,9 @@ def is_clique(g: Graph, vs: VertexSet) -> bool:
 
 
 def _scan(g: Graph, beta: float):
-    """Yield the first missing pair whose common neighborhood reaches
-    beta*n, asserting cliqueness of every common neighborhood on the way."""
+    """(u, common neighborhood) of the first missing pair (u, v) whose
+    common neighborhood reaches beta*n, or None, asserting cliqueness of
+    every common neighborhood on the way."""
     threshold = beta * g.n
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -72,7 +73,7 @@ def _scan(g: Graph, beta: float):
                     witness=InducedEmbedding((u, v), (a, b)),
                 )
             if common.bit_count() >= threshold:
-                return u, v, common
+                return u, common
     return None
 
 
@@ -84,9 +85,7 @@ def codegree_scan(g: Graph, beta: float) -> Optional[VertexSet]:
     if beta <= 0.0:
         raise PreconditionError(f"beta must be positive, got {beta}")
     found = _scan(g, beta)
-    if found is None:
-        return None
-    return VertexSet(g.n, found[2])
+    return None if found is None else VertexSet(g.n, found[1])
 
 
 def maximal_missing_matching(g: Graph, u_set: VertexSet) -> list[tuple[int, int]]:
@@ -136,49 +135,34 @@ def drc_clique(g: Graph, alpha_density: float, sharp_beta: bool = False) -> DrcT
         raise PreconditionError("beta underflowed to zero; alpha_density too small")
     hit = _scan(g, float(beta))
     if hit is not None:
-        u, _, common = hit
-        u_set = VertexSet(g.n, common)
-        return DrcTrace(
-            branch=BRANCH_CODEGREE,
-            n=g.n,
-            x=u,
-            U=u_set,
-            Y=0,
-            Z=None,
-            matching=(),
-            clique=VertexSet(g.n, common | (1 << u)),
-            beta=float(beta),
-            alpha_density=alpha_density,
-        )
-    best_x = -1
-    best_z: Optional[Fraction] = None
-    best_y = 0
-    shift = a * (g.n - 1) / 2
-    for x in range(g.n):
-        u_bits = g.adj[x]
-        y = _missing_inside(g, u_bits)
-        z = Fraction(u_bits.bit_count()) - shift
-        if y:
-            # a missing edge with a = 1 cannot pass the density pre,
-            # so the denominator is never zero here
-            z -= a * y / (beta * (1 - a) * g.n)
-        if best_z is None or z > best_z:
-            best_x, best_z, best_y = x, z, y
-    u_set = VertexSet(g.n, g.adj[best_x])
-    matching = maximal_missing_matching(g, u_set)
+        branch, y, z, matching = BRANCH_CODEGREE, 0, None, ()
+        x, u_set = hit[0], VertexSet(g.n, hit[1])
+    else:
+        branch, z = BRANCH_ARGMAX, None
+        shift = a * (g.n - 1) / 2
+        for v in range(g.n):
+            v_y = _missing_inside(g, g.adj[v])
+            v_z = Fraction(g.adj[v].bit_count()) - shift
+            if v_y:
+                # a missing edge with a = 1 cannot pass the density pre,
+                # so the denominator is never zero here
+                v_z -= a * v_y / (beta * (1 - a) * g.n)
+            if z is None or v_z > z:
+                x, z, y = v, v_z, v_y
+        u_set = VertexSet(g.n, g.adj[x])
+        matching = tuple(maximal_missing_matching(g, u_set))
     matched = 0
     for p, q in matching:
         matched |= (1 << p) | (1 << q)
-    clique = VertexSet(g.n, (u_set.bits & ~matched) | (1 << best_x))
     return DrcTrace(
-        branch=BRANCH_ARGMAX,
+        branch=branch,
         n=g.n,
-        x=best_x,
+        x=x,
         U=u_set,
-        Y=best_y,
-        Z=best_z,
-        matching=tuple(matching),
-        clique=clique,
+        Y=y,
+        Z=z,
+        matching=matching,
+        clique=VertexSet(g.n, (u_set.bits & ~matched) | (1 << x)),
         beta=float(beta),
         alpha_density=alpha_density,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -213,9 +213,14 @@ class HittingCertificate:
     size_accounting: tuple[int, int, int]
 
 
-def _empty_cert_fields(n: int) -> dict:
-    empty = VertexSet.empty(n)
-    return dict(I=empty, bin_index=0, S_j=empty, I_j=empty, K=empty, H=empty, NH=empty)
+def _bare_certificate(mode: str, seed: Optional[int], t_set: VertexSet) -> HittingCertificate:
+    """A certificate whose only content is T: every other set empty, no
+    bin, no center and size accounting (0, 0, 0)."""
+    empty = VertexSet.empty(t_set.n)
+    return HittingCertificate(
+        mode=mode, n=t_set.n, seed=seed, T=t_set, I=empty, bin_index=0, S_j=empty, I_j=empty,
+        K=empty, H=empty, NH=empty, center=None, size_accounting=(0, 0, 0),
+    )
 
 
 def closed_neighborhood_hitting(g: Graph, v: int, seed: Optional[int] = None) -> HittingCertificate:
@@ -224,15 +229,7 @@ def closed_neighborhood_hitting(g: Graph, v: int, seed: Optional[int] = None) ->
     if not 0 <= v < g.n:
         raise PreconditionError(f"vertex {v} out of range 0..{g.n - 1}")
     t_set = VertexSet(g.n, g.adj[v] | (1 << v))
-    return HittingCertificate(
-        mode=MODE_LOW_DEGREE,
-        n=g.n,
-        seed=seed,
-        T=t_set,
-        center=v,
-        size_accounting=(0, 0, 0),
-        **_empty_cert_fields(g.n),
-    )
+    return replace(_bare_certificate(MODE_LOW_DEGREE, seed, t_set), center=v)
 
 
 def bin_and_select(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> tuple[int, VertexSet]:
@@ -375,15 +372,7 @@ def construct_hitting_set(
     h_size = _printable_h_size(sched)
     if h_size is None or h_size > alpha or sched.k > alpha:
         if allow_trivial:
-            return HittingCertificate(
-                mode=MODE_TRIVIAL,
-                n=g.n,
-                seed=seed,
-                T=VertexSet.full(g.n),
-                center=None,
-                size_accounting=(0, 0, 0),
-                **{**_empty_cert_fields(g.n), "I": i_set},
-            )
+            return replace(_bare_certificate(MODE_TRIVIAL, seed, VertexSet.full(g.n)), I=i_set)
         if h_size is None:
             raise InfeasibleParamsError(
                 f"schedule needs |H| above alpha={alpha}: (t-1)*C(k,s)+1 has too many digits to print"
@@ -425,17 +414,14 @@ def verify_hitting_set(g: Graph, t_set: VertexSet) -> bool:
     return first_missed(g, t_set) is None
 
 
-def residual_edge_count(g: Graph, i_bits: int, excluded: int) -> int:
-    """Edges between I and the residual set V minus `excluded`."""
-    r_bits = ((1 << g.n) - 1) & ~excluded
-    return sum((g.adj[v] & i_bits).bit_count() for v in iter_bits(r_bits))
-
-
 def residual_edges(g: Graph, cert: HittingCertificate) -> int:
-    """e = |E(I, R)| recomputed from a sampled-core certificate."""
+    """e = |E(I, R)| recomputed from a sampled-core certificate: the
+    I-degrees summed over R = V minus (I | K | S_j)."""
     if cert.mode != MODE_SAMPLED_CORE:
         raise PreconditionError(f"no residual set in mode {cert.mode!r}")
-    return residual_edge_count(g, cert.I.bits, cert.I.bits | cert.K.bits | cert.S_j.bits)
+    i_bits = cert.I.bits
+    r_bits = ((1 << g.n) - 1) & ~(i_bits | cert.K.bits | cert.S_j.bits)
+    return sum((g.adj[v] & i_bits).bit_count() for v in iter_bits(r_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +575,7 @@ class SampleHitResult:
     def to_certificate(self) -> Optional[HittingCertificate]:
         if self.hit is None:
             return None
-        return HittingCertificate(
-            mode=MODE_UNIFORM_SAMPLE,
-            n=self.hit.n,
-            seed=self.seed,
-            T=self.hit,
-            center=None,
-            size_accounting=(0, 0, 0),
-            **_empty_cert_fields(self.hit.n),
-        )
+        return _bare_certificate(MODE_UNIFORM_SAMPLE, self.seed, self.hit)
 
 
 def sample_hitting_set(

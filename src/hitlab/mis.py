@@ -82,9 +82,6 @@ class MisFamily:
     def count(self) -> int:
         return len(self.sets)
 
-    def all_hit(self, t: VertexSet) -> bool:
-        return all(s.bits & t.bits for s in self.sets)
-
 
 def _greedy_mis(adj, pool: int) -> int:
     """Min-degree-first greedy independent set; the initial incumbent.

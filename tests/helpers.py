@@ -54,8 +54,9 @@ from typing import Iterator, Optional
 from hitlab.analysis import derive_seed
 from hitlab.errors import PreconditionError
 from hitlab.graph import MAX_PAIRS, Graph, InducedEmbedding, VertexSet, _check_vertex_count, gen_gnp, iter_bits
-from hitlab.hitting import SampleHitResult, bin_and_select, build_K, residual_edge_count
+from hitlab.hitting import SampleHitResult, bin_and_select, build_K
 from hitlab.mis import (
+    MisFamily,
     _clique_cover_bound,
     _greedy_mis,
     _independent_sets,
@@ -149,6 +150,11 @@ def brute_min_hitting(g: Graph) -> int:
             if all(bits & m for m in masks):
                 return size
     raise AssertionError("V itself always hits")
+
+
+def all_hit(fam: MisFamily, t: VertexSet) -> bool:
+    """Whether t meets every set of the listed family."""
+    return all(s.bits & t.bits for s in fam.sets)
 
 
 def has_induced_kst_brute(g: Graph, s: int, t: int) -> bool:
@@ -453,7 +459,7 @@ def ref_sample_hitting_set(g: Graph, p: int, seed: int, trials: int) -> SampleHi
         for v in rng.sample(ids, p):
             bits |= 1 << v
         cand = VertexSet(g.n, bits)
-        if fam.all_hit(cand):
+        if all_hit(fam, cand):
             if hit is None:
                 hit, hit_trial = cand, i
         else:
@@ -479,7 +485,8 @@ def ref_monte_carlo_e(g: Graph, i_set: VertexSet, sched, trials: int, seed: int)
         chosen = random.Random(derive_seed(seed, idx, "mc-e")).sample(i_set.members(), sched.k)
         i_j = VertexSet.of(g.n, chosen)
         k_set = build_K(g, i_j, sched.s, sched.t)
-        samples.append(residual_edge_count(g, i_set.bits, base | k_set.bits))
+        r_bits = ((1 << g.n) - 1) & ~(base | k_set.bits)
+        samples.append(sum((g.adj[v] & i_set.bits).bit_count() for v in iter_bits(r_bits)))
     return tuple(samples)
 
 

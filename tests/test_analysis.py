@@ -103,6 +103,23 @@ class TestHypergeomTail:
                                 hits += 1
                         assert hypergeom_tail(i_size, d, k, s) == Fraction(hits, total)
 
+    def test_matches_the_binomial_sum_on_a_seeded_grid(self):
+        # the sum of C(d, x) C(|I| - d, k - x) / C(|I|, k) it replaced; the
+        # grid reaches k > |I| - d, where the terms below d + k - |I| are 0
+        def binomial_sum(i_size, d, k, s):
+            acc = sum(math.comb(d, x) * math.comb(i_size - d, k - x) for x in range(min(s - 1, k, d) + 1))
+            return Fraction(acc, math.comb(i_size, k))
+
+        rng = random.Random(16)
+        cases = [(60, 50, 40, s) for s in range(1, 45)]
+        for _ in range(400):
+            i_size = rng.randint(0, 300)
+            d, k = rng.randint(0, i_size), rng.randint(0, i_size)
+            cases.append((i_size, d, k, rng.randint(1, min(d, k) + 2)))
+        assert sum(k > i_size - d for i_size, d, k, _ in cases) > 100
+        for case in cases:
+            assert hypergeom_tail(*case) == binomial_sum(*case), case
+
     def test_monotone_in_s(self):
         vals = [hypergeom_tail(12, 5, 4, s) for s in range(1, 6)]
         assert vals == sorted(vals)

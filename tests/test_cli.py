@@ -29,12 +29,12 @@ def cli(capsys, *argv):
     return code, out, err
 
 
-def python_dash_m(module, *argv):
+def python_dash_m(module, *argv, timeout=60):
     src = os.path.dirname(os.path.dirname(hitlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -543,6 +543,20 @@ class TestProb:
         assert code == 0 and err == ""
         exact = sum(Fraction(math.comb(2000, x), 2 ** 2000) for x in range(1001))
         assert abs(float(out.split("binomial_form: ")[1]) - float(exact)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "argv,exact",
+        [
+            (["--i-size", "1000000", "--d", "5", "--k", "500000", "--s", "2"], "0.1874993749984375"),
+            # one term, P[X = 50000] = 1/C(100000, 50000); the tail rounds to 1.0
+            (["--i-size", "100000", "--d", "50000", "--k", "50000", "--s", "50000"], "1.0"),
+        ],
+    )
+    def test_large_inputs_take_the_short_tail(self, argv, exact):
+        # the sum of binomials took 30 s on the first and over 60 s on the second
+        run = python_dash_m("hitlab", "prob", *argv, timeout=2)
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout.startswith(f"exact: {exact}\n")
 
 
 class TestMcE:

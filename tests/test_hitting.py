@@ -48,6 +48,7 @@ from hitlab.hitting import (
 from hitlab.mis import alpha_with_witness, enumerate_mis
 from helpers import (
     address_space_cap,
+    all_hit,
     brute_min_hitting,
     random_gnp_corpus,
     ref_bin_and_select,
@@ -419,7 +420,7 @@ class TestMinHittingSet:
             best = None
             for combo in combinations(range(g.n), size):
                 cand = VertexSet.of(g.n, combo)
-                if fam.all_hit(cand):
+                if all_hit(fam, cand):
                     best = cand
                     break
             assert witness == best

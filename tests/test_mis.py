@@ -29,6 +29,7 @@ from hitlab.mis import (
     kernel,
 )
 from helpers import (
+    all_hit,
     brute_mis_family,
     members,
     petersen,
@@ -106,8 +107,8 @@ def test_enumerate_respects_cap():
 
 def test_mis_family_hit_queries(c5):
     fam = enumerate_mis(c5)
-    assert fam.all_hit(VertexSet.of(5, [0, 1, 2]))
-    assert not fam.all_hit(VertexSet.of(5, [0]))
+    assert all_hit(fam, VertexSet.of(5, [0, 1, 2]))
+    assert not all_hit(fam, VertexSet.of(5, [0]))
     assert first_missed(c5, VertexSet.of(5, [0])) == VertexSet.of(5, [1, 3])
     assert first_missed(c5, VertexSet.of(5, [0, 1, 2])) is None
 
