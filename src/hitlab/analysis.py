@@ -7,8 +7,9 @@ binomial-form estimate written with independent draws), evaluates the
 two displayed upper bounds on E[e] in natural-log space, estimates e by
 seeded Monte Carlo, and sweeps graph families into CSV records.
 
-Everything is deterministic per master seed: per-trial and per-cell
-seeds are derived by hashing, and results keep index order.
+Everything is deterministic: each experiment cell runs on a seed the
+config lists, each Monte Carlo trial on a seed derived from the master
+seed by hashing, and results keep cell and trial order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graph import (
     MAX_VERTICES,
     Graph,
     VertexSet,
+    _check_vertex_count,
     find_induced_kst,
     gen_c4_free_process,
     gen_cluster,
@@ -53,7 +55,9 @@ from .hitting import (
 )
 from .mis import alpha_with_witness
 
-CSV_HEADER = "schema,family,n,seed,alpha,h_exact,t_bet,t_trivial,e_observed,runtime_ms"
+# the ExperimentRecord fields a CSV row shows, in column order
+_ROW_FIELDS = ("family", "n", "seed", "alpha", "h_exact", "t_bet", "t_trivial", "e_observed")
+CSV_HEADER = ",".join(("schema", *_ROW_FIELDS, "runtime_ms"))
 CSV_SCHEMA = "1"
 
 
@@ -277,7 +281,8 @@ def expected_residual_edges(g: Graph, i_set: VertexSet, sched: ParamSchedule) ->
 
 @dataclass
 class ExperimentRecord:
-    """One CSV row plus bookkeeping that stays out of the CSV."""
+    """One CSV row (the fields named in `_ROW_FIELDS`), the time of each
+    stage in ms, and the error that ended the cell early, if any."""
 
     family: str
     n: int
@@ -288,8 +293,6 @@ class ExperimentRecord:
     t_trivial: Optional[int] = None
     e_observed: Optional[int] = None
     runtime_ms: dict = field(default_factory=dict)
-    mode: Optional[str] = None
-    verified: Optional[bool] = None
     error: Optional[str] = None
 
 
@@ -364,8 +367,7 @@ def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, in
             raise ConfigError("cluster family needs sizes or q >= 1")
 
         def build(n: int, seed: int) -> Graph:
-            if n > MAX_VERTICES:  # before the list of n // q sizes
-                raise PreconditionError(f"vertex count {n} above the ceiling {MAX_VERTICES}")
+            _check_vertex_count(n)  # before the list of n // q sizes
             return gen_cluster([q] * max(1, n // q))
 
         return f"cluster:q{q}", None, build
@@ -448,16 +450,11 @@ def _run_cell(label, builder, n, seed, schedule_raw, caps) -> ExperimentRecord:
             rec.alpha = clock("alpha", lambda: alpha_with_witness(g))[0]
         sched = resolve_schedule(g, schedule_raw)
         cert = clock("construct", lambda: construct_hitting_set(g, sched, seed))
-        rec.mode = cert.mode
         rec.t_bet = cert.T.size
         if cert.mode == MODE_SAMPLED_CORE:
             rec.e_observed = residual_edges(g, cert)
-        if g.n <= enum_cap:
-            rec.verified = clock("verify", lambda: verify_hitting_set(g, cert.T))
-            if not rec.verified:
-                raise VerificationFailure(
-                    "hitting set failed verification\n" + certificate_to_text(cert)
-                )
+        if g.n <= enum_cap and not clock("verify", lambda: verify_hitting_set(g, cert.T)):
+            raise VerificationFailure("hitting set failed verification\n" + certificate_to_text(cert))
         if g.n <= int(caps["minhit_n"]):
             rec.h_exact = clock("minhit", lambda: min_hitting_set(g))[0]
     except VerificationFailure:
@@ -473,18 +470,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     Per-cell failures are recorded; a verification failure aborts the
     whole run with the offending certificate in the message.
     """
-    cells = []
-    for family in config.families:
-        label, fixed_n, builder = _family_builder(family)
-        n_list = [fixed_n] if fixed_n is not None else list(config.n_values)
-        for n in n_list:
-            for seed in config.seeds:
-                cells.append((label, builder, n, seed))
-    return [_run_cell(*cell, config.schedule, config.caps) for cell in cells]
-
-
-def _cell_text(v) -> str:
-    return "" if v is None else str(v)
+    return [
+        _run_cell(label, builder, n, seed, config.schedule, config.caps)
+        for label, fixed_n, builder in map(_family_builder, config.families)
+        for n in (config.n_values if fixed_n is None else (fixed_n,))
+        for seed in config.seeds
+    ]
 
 
 def records_to_csv(records: list[ExperimentRecord], include_timings: bool = False) -> str:
@@ -493,20 +484,6 @@ def records_to_csv(records: list[ExperimentRecord], include_timings: bool = Fals
     lines = [CSV_HEADER]
     for r in records:
         runtime = str(int(round(sum(r.runtime_ms.values())))) if include_timings else ""
-        lines.append(
-            ",".join(
-                [
-                    CSV_SCHEMA,
-                    r.family,
-                    str(r.n),
-                    str(r.seed),
-                    _cell_text(r.alpha),
-                    _cell_text(r.h_exact),
-                    _cell_text(r.t_bet),
-                    _cell_text(r.t_trivial),
-                    _cell_text(r.e_observed),
-                    runtime,
-                ]
-            )
-        )
+        cells = ("" if v is None else str(v) for v in (getattr(r, name) for name in _ROW_FIELDS))
+        lines.append(",".join((CSV_SCHEMA, *cells, runtime)))
     return "\n".join(lines) + "\n"

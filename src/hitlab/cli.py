@@ -130,32 +130,29 @@ def _write_or_print(text: str, out_path) -> None:
 # subcommand bodies
 
 
+def _parse_sizes(raw: str) -> list[int]:
+    try:
+        return [int(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError:
+        raise _UsageError(f"--sizes expects integer clique sizes, got {raw!r}") from None
+
+
+# family -> (the flags it needs, its graph from the parsed flags).  The
+# lambdas look each generator up when called, so wrapping cli.gen_* works.
+_GEN_FAMILIES = {
+    "cluster": (("sizes",), lambda args: gen_cluster(_parse_sizes(args.sizes))),
+    "gnp": (("n", "p"), lambda args: gen_gnp(args.n, args.p, args.seed)),
+    "c4free": (("n", "m"), lambda args: gen_c4_free_process(args.n, args.m, args.seed)),
+    "path": (("n",), lambda args: gen_path(args.n)),
+    "cycle": (("n",), lambda args: gen_cycle(args.n)),
+}
+
+
 def _cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "cluster":
-        if not args.sizes:
-            raise _UsageError("gen --family cluster needs --sizes")
-        try:
-            sizes = [int(tok) for tok in args.sizes.replace(",", " ").split()]
-        except ValueError:
-            raise _UsageError(f"--sizes expects integer clique sizes, got {args.sizes!r}") from None
-        g = gen_cluster(sizes)
-    elif fam == "gnp":
-        if args.n is None or args.p is None:
-            raise _UsageError("gen --family gnp needs --n and --p")
-        g = gen_gnp(args.n, args.p, args.seed)
-    elif fam == "c4free":
-        if args.n is None or args.m is None:
-            raise _UsageError("gen --family c4free needs --n and --m")
-        g = gen_c4_free_process(args.n, args.m, args.seed)
-    elif fam == "path":
-        if args.n is None:
-            raise _UsageError("gen --family path needs --n")
-        g = gen_path(args.n)
-    else:
-        if args.n is None:
-            raise _UsageError("gen --family cycle needs --n")
-        g = gen_cycle(args.n)
+    needs, build = _GEN_FAMILIES[args.family]
+    if any(getattr(args, flag) in (None, "") for flag in needs):
+        raise _UsageError(f"gen --family {args.family} needs " + " and ".join(f"--{flag}" for flag in needs))
+    g = build(args)
     fmt = _fmt_name(args.format)
     text = format_dimacs(g) if fmt == "dimacs" else format_edge_list(g)
     _write_or_print(text, args.out)
@@ -308,7 +305,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     p = subs.add_parser("gen", help="generate a graph from a named family")
-    p.add_argument("--family", required=True, choices=("cluster", "gnp", "c4free", "path", "cycle"))
+    p.add_argument("--family", required=True, choices=tuple(_GEN_FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--sizes", help="clique sizes for cluster, e.g. 3,3,3")
     p.add_argument("--p", type=float, help="edge probability for gnp")

