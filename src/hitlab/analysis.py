@@ -368,7 +368,7 @@ def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, in
 
         def build(n: int, seed: int) -> Graph:
             _check_vertex_count(n)  # before the list of n // q sizes
-            return gen_cluster([q] * max(1, n // q))
+            return gen_cluster([q] * (n // q))  # refuses n < q: no clique fits
 
         return f"cluster:q{q}", None, build
     if kind == "gnp":

@@ -137,6 +137,11 @@ def _parse_sizes(raw: str) -> list[int]:
         raise _UsageError(f"--sizes expects integer clique sizes, got {raw!r}") from None
 
 
+def _missing(value) -> bool:
+    # an empty flag, or a --sizes list of separators only, counts as absent
+    return value is None or isinstance(value, str) and not value.replace(",", " ").split()
+
+
 # family -> (the flags it needs, its graph from the parsed flags).  The
 # lambdas look each generator up when called, so wrapping cli.gen_* works.
 _GEN_FAMILIES = {
@@ -150,7 +155,7 @@ _GEN_FAMILIES = {
 
 def _cmd_gen(args) -> int:
     needs, build = _GEN_FAMILIES[args.family]
-    if any(getattr(args, flag) in (None, "") for flag in needs):
+    if any(_missing(getattr(args, flag)) for flag in needs):
         raise _UsageError(f"gen --family {args.family} needs " + " and ".join(f"--{flag}" for flag in needs))
     g = build(args)
     fmt = _fmt_name(args.format)

@@ -4,8 +4,9 @@ Four searches, each answering one question.  The value search
 `_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
 search `has_independent(adj, pool, target)` is built on it (targets up
 to 2 need no search); since only a number leaves them, they peel pool
-vertices of degree at most 1, stop at once when the greedy set meets the
-clique cover, and otherwise relabel by degree and branch in colour order
+vertices of degree at most 1 (always at the root; below it only where
+it pays, see below), stop at once when the greedy set meets the clique
+cover, and otherwise relabel by degree and branch in colour order
 (MCS on the complement) from an explicit stack, so no input size meets
 the recursion limit, skipping the branch vertices that unit propagation
 over the colour classes rules out.  The witness walk `_max_independent`
@@ -53,6 +54,22 @@ vertices b_1..b_r, in colour order, are branched from b_r down: when b_j
 is branched on, the pool is those vertices plus b_1..b_j, so its
 subtree is bounded by kmin + j.  The test suite keeps the colour-only
 search as a reference.
+
+Where the value search peels: the root peels the whole pool.  Below it,
+a node knows its dirty vertices, the pool vertices that lost a
+neighbour since the last peel on its path (the rows of the vertices it
+excluded and of the neighbours an include removed); every other pool
+vertex still has degree 2 or more.  A node peels only when its dirty
+vertices are at most half its pool, and then scans only them, which
+takes what a full rescan would; otherwise it passes them on to its
+children.  On dense pools, such as the C4-free process graphs', nearly
+every branch dirties most of the pool, so a scan would cost about a full
+rescan (over a quarter of the search's time there), and the colour
+bound already refutes what a peel would take: there no node below the
+root peels.  On sparse pools (random cubic graphs, gnp at p = 3/n) a
+branch dirties a few vertices and frees a chain of degree-1 ones, so
+the short scan runs at nearly every node; without it a random cubic
+graph at n = 160 takes over four times as long.
 """
 
 from __future__ import annotations
@@ -155,14 +172,18 @@ def _clique_cover_bound(adj, pool: int, limit: int) -> int:
     return count
 
 
-def _peel(adj, pool: int) -> tuple[int, int]:
+def _peel(adj, pool: int, todo: Optional[int] = None) -> tuple[int, int]:
     """(taken, rest): take pool vertices of pool degree at most 1, each
     with its neighbour gone, until none is left; alpha(pool) = |taken| +
     alpha(rest).  Each take is the smallest-id such vertex (every pool
-    vertex outside `todo` has degree 2 or more).  The witness walk
-    depends on this exact rule: new reductions go beside it, not into it.
+    vertex outside `todo` has degree 2 or more).  `todo` defaults to the
+    whole pool; a caller that passes a smaller one must include every
+    pool vertex of degree at most 1, and then gets what the full scan
+    gives.  The witness walk depends on this exact rule: new reductions
+    go beside it, not into it.
     """
-    taken, todo = 0, pool
+    taken = 0
+    todo = pool if todo is None else todo & pool
     while todo:
         low = todo & -todo
         todo ^= low
@@ -283,7 +304,10 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     first, the j-th under the bound kmin + j (`_branch_vertices`; the
     module docstring has the argument).  Only the number leaves, so the
     search is free to pick its own order.  Nodes sit on an explicit
-    stack, so deep searches need no recursion.
+    stack, so deep searches need no recursion.  The pool is peeled in
+    full before the greedy set; a node below peels only its dirty
+    vertices, and only when they are at most half its pool (the module
+    docstring says why).
     """
     taken, pool = _peel(adj, pool)
     taken = taken.bit_count()
@@ -296,23 +320,32 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
         if best >= goal or _clique_cover_bound(adj, pool, best) <= best:
             return best + taken
     rows = _relabel(adj, pool)
-    stack = [[(1 << len(rows)) - 1, 0, None]]
+    # node: [pool, size, branch, dirty]; every pool vertex outside dirty
+    # has pool degree 2 or more
+    stack = [[(1 << len(rows)) - 1, 0, None, 0]]
     while stack:
         node = stack[-1]
-        pool, size, branch = node
+        pool, size, branch, dirty = node
         if branch is None:
-            more, pool = _peel(rows, pool)
-            size += more.bit_count()
+            if dirty and 2 * dirty.bit_count() <= pool.bit_count():
+                more, pool = _peel(rows, pool, dirty)
+                size += more.bit_count()
+                dirty = 0
             if size > best:
                 best = size
             branch = _branch_vertices(rows, pool, best - size)
-            node[1:] = size, branch
+            node[:] = pool, size, branch, dirty
         if not branch or size + branch[-1][1] <= best or best >= goal:
             stack.pop()
             continue
         low, _ = branch.pop()
+        row = rows[low.bit_length() - 1]
         node[0] = pool ^ low
-        stack.append([pool & ~rows[low.bit_length() - 1] & ~low, size + 1, None])
+        node[3] = dirty | row
+        child = pool & ~row & ~low
+        for u in iter_bits(pool & row):
+            dirty |= rows[u]
+        stack.append([child, size + 1, None, dirty & child])
     return best + taken
 
 

@@ -117,6 +117,19 @@ def split_alpha(g: Graph) -> int:
     return max([rest] + [rest - (g.adj[q] >> half).bit_count() + 1 for q in range(half)])
 
 
+def gen_cubic(n: int, seed: int) -> Graph:
+    """Random cubic graph on an even n by the pairing model: three
+    points per vertex, a uniform perfect matching of the points, redrawn
+    until it makes no loop and no double edge."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        if len(edges) == 3 * n // 2:
+            return Graph.from_edges(n, sorted(edges))
+
+
 def gen_interval(n: int, seed: int) -> tuple[Graph, list[tuple[int, int]]]:
     """Random interval graph and its intervals: vertex v is [lo, hi] with
     lo uniform below 2n and hi - lo below 30, adjacent iff they meet."""

@@ -575,6 +575,19 @@ class TestRunExperiment:
         assert [rec.error for rec in recs] == ["precondition: negative vertex count -5"] * 3
         assert records_to_csv(recs).splitlines()[1] == "1,cluster:q3,-5,0,,,,,,"
 
+    def test_q_cluster_cell_below_one_clique_recorded(self):
+        # n < q leaves no room for a q-clique: each such cell is refused
+        # under its own n, as other families refuse n = 0, not built as n = q
+        families = [{"kind": "cluster", "q": 3}]
+        recs = run_experiment(load_config({"families": families, "n_values": [0, 1, 2, 3], "seeds": [1]}))
+        assert [rec.error for rec in recs[:3]] == ["precondition: cluster graph needs at least one clique"] * 3
+        assert records_to_csv(recs).splitlines()[1:] == [
+            "1,cluster:q3,0,1,,,,,,",
+            "1,cluster:q3,1,1,,,,,,",
+            "1,cluster:q3,2,1,,,,,,",
+            "1,cluster:q3,3,1,1,,,3,,",
+        ]
+
     def test_infeasible_cell_recorded(self):
         cfg = load_config(
             {

@@ -159,6 +159,9 @@ class TestGen:
             ("gen", "--family", "gnp", "--n", "5"),
             ("gen", "--family", "path"),
             ("gen", "--family", "nosuch", "--n", "5"),
+            # a size list of separators only is as missing as an empty one
+            ("gen", "--family", "cluster", "--sizes", " "),
+            ("gen", "--family", "cluster", "--sizes", ","),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -654,6 +657,7 @@ def _cert_with(key, value):
         (["verify", "--graph", "{c5}", "--cert", "{dir}"], {}),
         (["hit", "--graph", "{c5}", "--theta", "1:2", "--delta", "0.5", "--out", "{dir}/no/such/dir/x"], {}),
         (["gen", "--family", "cluster", "--sizes", "3,x"], {}),
+        (["gen", "--family", "cluster", "--sizes", " , "], {}),
         (["gen", "--family", "gnp", "--n", "-5", "--p", "0.5"], {}),
         (["gen", "--family", "c4free", "--n", "5", "--m", "-1"], {}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": ["abc"]}'}),
@@ -683,7 +687,7 @@ def _cert_with(key, value):
     ],
     ids=[
         "missing-cert", "negative-id", "id-above-n", "center-above-n", "seed-not-int", "negative-n",
-        "cert-is-dir", "unwritable-out", "sizes-not-int", "gnp-negative-n", "c4free-negative-m",
+        "cert-is-dir", "unwritable-out", "sizes-not-int", "sizes-blank", "gnp-negative-n", "c4free-negative-m",
         "n-values-not-int", "cap-not-int", "caps-not-object",
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",

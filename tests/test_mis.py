@@ -40,6 +40,7 @@ from hitlab.mis import (
 from helpers import (
     all_hit,
     brute_mis_family,
+    gen_cubic,
     gen_interval,
     gen_split,
     interval_alpha,
@@ -246,6 +247,10 @@ def test_peel_takes_what_a_rescan_takes_and_keeps_alpha():
         for pool in (full, rng.getrandbits(g.n), rng.getrandbits(g.n) | rng.getrandbits(g.n)):
             taken, rest = _peel(g.adj, pool)
             assert (taken, rest) == rescan_peel(g.adj, pool)
+            # any todo that holds every pool vertex of degree at most 1
+            low = sum(1 << v for v in members(pool) if (g.adj[v] & pool).bit_count() <= 1)
+            for todo in (low, low | rng.getrandbits(g.n), low | rng.getrandbits(g.n + 4)):
+                assert _peel(g.adj, pool, todo) == (taken, rest)
             assert independence_check(g, VertexSet(g.n, taken))
             assert not rest & taken and not (rest | taken) & ~pool
             for v in members(taken):
@@ -253,6 +258,29 @@ def test_peel_takes_what_a_rescan_takes_and_keeps_alpha():
             for v in members(rest):
                 assert (g.adj[v] & rest).bit_count() >= 2
             assert taken.bit_count() + pool_alpha(g, rest) == pool_alpha(g, pool)
+
+
+def test_node_peels_take_what_a_rescan_takes_on_sparse_graphs(monkeypatch):
+    # a node peels only its dirty vertices; that must be every pool vertex
+    # of degree at most 1, or the node would keep one a rescan takes.  On
+    # sparse graphs a node's branches leave degree-1 vertices to peel.
+    graphs = [gen_cubic(n, seed) for n in (40, 60, 80) for seed in range(2)]
+    graphs += [gen_gnp(n, 3 / n, seed) for n in (60, 90) for seed in range(2)]
+    graphs += [gen_c4_free_process(n, round(0.025 * n * (n - 1) / 2), seed) for n in (80, 120) for seed in range(2)]
+    peel, node_takes = mis._peel, []
+
+    def checked(adj, pool, todo=None):
+        got = peel(adj, pool, todo)
+        if todo is not None:
+            assert got == rescan_peel(adj, pool)
+            node_takes.append(got[0])
+        return got
+
+    monkeypatch.setattr(mis, "_peel", checked)
+    for g in graphs:
+        full = (1 << g.n) - 1
+        assert _alpha(g.adj, full, 0, g.n) == ref_alpha_colour(g.adj, full, -1, g.n + 1)
+    assert any(node_takes)
 
 
 def test_greedy_matches_the_reference_on_a_long_path():
@@ -282,7 +310,11 @@ def pool_alpha(g: Graph, pool: int) -> int:
 
 def test_value_and_decision_searches_match_the_subset_dp():
     rng = random.Random(37)
-    for g in random_gnp_corpus(50, 1, 14, seed=39):
+    graphs = random_gnp_corpus(50, 1, 14, seed=39)
+    graphs += [gen_cubic(n, seed) for n in (10, 12, 14) for seed in range(2)]
+    graphs += [gen_gnp(14, 3 / 14, seed) for seed in range(3)]
+    graphs += [gen_c4_free_process(14, round(0.025 * 14 * 13 / 2), seed) for seed in range(2)]
+    for g in graphs:
         full = (1 << g.n) - 1
         for pool in (full, rng.getrandbits(g.n), rng.getrandbits(g.n)):
             alpha = pool_alpha(g, pool)
@@ -439,6 +471,10 @@ def test_unit_propagation_keeps_the_floor_goal_contract(refutations):
     graphs = [gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), 2)
               for n in (24, 32, 40, 44, 48) for m_frac in (0.1, 0.2)]
     graphs += [cycles(5, 7), cycles(5, 5, 7, 7), cycles(7, 5, 7, 5, 5), petersen()]
+    # sparse pools, where the node peel takes vertices
+    graphs += [gen_cubic(n, 1) for n in (24, 32, 40)]
+    graphs += [gen_gnp(n, 3 / n, 1) for n in (32, 40, 48)]
+    graphs += [gen_c4_free_process(n, round(0.025 * n * (n - 1) / 2), 1) for n in (40, 48)]
     rng = random.Random(53)
     for g in graphs:
         full = (1 << g.n) - 1
