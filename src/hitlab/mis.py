@@ -44,16 +44,24 @@ cliques of G, so an independent set holds at most one vertex of each;
 the first kmin classes are live.  A vertex p of a later class is forced
 and propagated against the live classes: each forced vertex removes its
 neighbours from every live class, and a class left with one vertex
-forces it.  If a class is left empty, no independent set holds p and
-one vertex of each class that became unit or empty on the way (the
-reason), so p and the reason's classes R together hold at most |R|
-members of any independent set.  The reason leaves the live set, so
-reason sets are disjoint, and the live classes left plus the skipped
-vertices hold at most kmin members of any independent set.  The kept
-vertices b_1..b_r, in colour order, are branched from b_r down: when b_j
-is branched on, the pool is those vertices plus b_1..b_j, so its
-subtree is bounded by kmin + j.  The test suite keeps the colour-only
-search as a reference.
+forces it (first in, first out).  Each class records the classes whose
+forced vertices removed something from it.  If a class is left empty,
+the reason R is that class plus every class its record reaches, directly
+or through the records of those classes.  By induction in forcing order,
+an independent set that holds p and meets every class of R but the
+emptied one holds each of their forced vertices and so misses the
+emptied class; hence p and R's classes together hold at most |R| members
+of any independent set (`_refuted` spells this out).  R leaves the live
+set, so reason sets are disjoint, and the live classes left plus the
+skipped vertices hold at most kmin members of any independent set.  Only
+the classes the conflict used leave, so more stay live for the next
+vertex: on C4-free, cubic and sparse gnp graphs the search visits a
+sixth to a half of the nodes it did when every class that became unit
+left and propagation went last in, first out.  The kept vertices
+b_1..b_r, in colour order, are branched from b_r down: when b_j is
+branched on, the pool is those vertices plus b_1..b_j, so its subtree is
+bounded by kmin + j.  The test suite keeps the colour-only search as a
+reference.
 
 Where the value search peels: the root peels the whole pool.  Below it,
 a node knows its dirty vertices, the pool vertices that lost a
@@ -69,7 +77,12 @@ bound already refutes what a peel would take: there no node below the
 root peels.  On sparse pools (random cubic graphs, gnp at p = 3/n) a
 branch dirties a few vertices and frees a chain of degree-1 ones, so
 the short scan runs at nearly every node; without it a random cubic
-graph at n = 160 takes over four times as long.
+graph at n = 160 takes over four times as long.  A child's dirty
+vertices include those it inherits, so a child that inherits more than
+half its pool as dirty cannot peel: it counts its whole pool as dirty
+(so its subtree peels no more) and skips collecting what its include
+removed.  On the C4-free, cubic and gnp graphs above, that shortcut
+left the node counts as they were.
 """
 
 from __future__ import annotations
@@ -204,9 +217,13 @@ def _relabel(adj, pool: int) -> list[int]:
     and the first removed gets the highest number."""
     deg = [0] * len(adj)
     buckets = [0] * pool.bit_count()
-    for v in iter_bits(pool):
+    m = pool
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
         deg[v] = d = (adj[v] & pool).bit_count()
-        buckets[d] |= 1 << v
+        buckets[d] |= low
     order, rest, hi = [], pool, len(buckets) - 1
     while rest:
         while not buckets[hi]:
@@ -216,41 +233,83 @@ def _relabel(adj, pool: int) -> list[int]:
         buckets[hi] ^= low
         rest ^= low
         order.append(v)
-        for u in iter_bits(adj[v] & rest):
-            buckets[deg[u]] ^= 1 << u
-            deg[u] -= 1
-            buckets[deg[u]] |= 1 << u
+        m = adj[v] & rest
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            d = deg[u]
+            buckets[d] ^= low
+            buckets[d - 1] |= low
+            deg[u] = d - 1
     order.reverse()
-    new = {v: i for i, v in enumerate(order)}
-    return [sum(1 << new[u] for u in iter_bits(adj[v] & pool)) for v in order]
+    bit = [0] * len(adj)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    rows = []
+    for v in order:
+        m, row = adj[v] & pool, 0
+        while m:
+            low = m & -m
+            row |= bit[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return rows
 
 
 def _refuted(rows, low: int, live: list[int], live_bits: int, colour: list[int]) -> int:
-    """Unit propagation of the vertex `low` against the live classes:
-    a forced vertex takes its neighbours out of every live class, a
-    class left with one vertex forces it, a class left empty is a
-    conflict.  Returns the union of the classes that became unit or
-    empty (the reason) on a conflict, else 0."""
-    cur = live[:]
-    reason, forced = 0, [low.bit_length() - 1]
-    while forced:
-        nb = rows[forced.pop()]
-        hit = nb & live_bits
+    """Unit propagation of the vertex `low` against the live classes: a
+    forced vertex takes its neighbours out of every live class, a class
+    left with one vertex forces it, a class left empty is a conflict.
+    Forced vertices propagate first in, first out, which reaches a
+    conflict by short chains and so keeps reasons small.  Each class
+    records the classes whose forced vertices took something out of it
+    (the start vertex's takes record none).  Returns the reason R on a
+    conflict, else 0: the emptied class plus every class its record
+    reaches, directly or through theirs.
+
+    Why R is sound, by induction in forcing order: let I be an
+    independent set that holds `low`.  If I meets a class that became
+    unit and every class its record reaches, I holds the class's forced
+    vertex.  Every other vertex of the class was removed by `low` or by
+    the forced vertex of a class in its record; that class became unit
+    earlier and its record reaches no class the first one's does not, so
+    I holds that forced vertex, and so none of the removed vertices.  The
+    emptied class lost every vertex the same way, so an I that holds
+    `low` and meets every other class of R misses it.  So I misses a
+    class of R, and `low` and R's classes together hold at most |R|
+    members of any independent set.
+    """
+    why = [0] * len(live)
+    alive, nb, by, todo, head = live_bits, rows[low.bit_length() - 1], 0, [], 0
+    while True:
+        hit = nb & alive
+        alive ^= hit
         while hit:
             i = colour[(hit & -hit).bit_length() - 1]
             cls = live[i]
             hit &= ~cls
-            left = cur[i] & ~nb
+            why[i] |= by
+            left = alive & cls
             if not left:
-                return reason | cls
-            if not left & (left - 1) and not reason & cls:
-                reason |= cls
-                forced.append(left.bit_length() - 1)
-            cur[i] = left
-    return 0
+                reason, seen, need = cls, 1 << i, why[i]
+                while need:
+                    bit = need & -need
+                    k = bit.bit_length() - 1
+                    seen |= bit
+                    reason |= live[k]
+                    need = (need | why[k]) & ~seen
+                return reason
+            if not left & (left - 1):
+                todo.append(i)
+        if head == len(todo):
+            return 0
+        i = todo[head]
+        head += 1
+        nb, by = rows[(alive & live[i]).bit_length() - 1], 1 << i
 
 
-def _branch_vertices(rows, pool: int, kmin: int) -> list[tuple[int, int]]:
+def _branch_vertices(rows, pool: int, kmin: int, colour: Optional[list[int]] = None) -> list[tuple[int, int]]:
     """(bit, bound) of the vertices a node branches on, in colour order,
     when its pool must hold more than kmin members to beat the incumbent:
     the pool less the kept vertices after the j-th holds at most its
@@ -258,21 +317,24 @@ def _branch_vertices(rows, pool: int, kmin: int) -> list[tuple[int, int]]:
 
     The first kmin colour classes are live; a vertex of a later class is
     kept unless `_refuted` finds a conflict, whose reason then leaves
-    the live set.
+    the live set.  `colour` is working space of len(rows) entries, which
+    `_alpha` allocates once for all its nodes.
     """
-    colour = [0] * len(rows)
-    live, live_bits, rest = [], 0, pool
-    while rest and len(live) < kmin:
+    if colour is None:
+        colour = [0] * len(rows)
+    live, count, rest = [], 0, pool
+    while rest and count < kmin:
         clique, cls = rest, 0
         while clique:
             low = clique & -clique
             v = low.bit_length() - 1
             cls |= low
-            colour[v] = len(live)
+            colour[v] = count
             clique &= rows[v]
         rest ^= cls
         live.append(cls)
-        live_bits |= cls
+        count += 1
+    live_bits = pool ^ rest
     branch, bound = [], kmin
     while rest:
         clique = rest
@@ -299,8 +361,8 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     the colour classes are the id-order cliques, and the first kmin =
     best - size of them are live.  A vertex of a later class is skipped
     when unit propagation against the live classes ends in a conflict;
-    the conflict's classes (the reason) then leave the live set, so
-    reason sets stay disjoint.  The kept vertices are branched on last
+    the classes the conflict used (the reason) then leave the live set,
+    so reason sets stay disjoint.  The kept vertices are branched on last
     first, the j-th under the bound kmin + j (`_branch_vertices`; the
     module docstring has the argument).  Only the number leaves, so the
     search is free to pick its own order.  Nodes sit on an explicit
@@ -320,6 +382,7 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
         if best >= goal or _clique_cover_bound(adj, pool, best) <= best:
             return best + taken
     rows = _relabel(adj, pool)
+    colour = [0] * len(rows)
     # node: [pool, size, branch, dirty]; every pool vertex outside dirty
     # has pool degree 2 or more
     stack = [[(1 << len(rows)) - 1, 0, None, 0]]
@@ -333,7 +396,7 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
                 dirty = 0
             if size > best:
                 best = size
-            branch = _branch_vertices(rows, pool, best - size)
+            branch = _branch_vertices(rows, pool, best - size, colour)
             node[:] = pool, size, branch, dirty
         if not branch or size + branch[-1][1] <= best or best >= goal:
             stack.pop()
@@ -343,9 +406,15 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
         node[0] = pool ^ low
         node[3] = dirty | row
         child = pool & ~row & ~low
-        for u in iter_bits(pool & row):
-            dirty |= rows[u]
-        stack.append([child, size + 1, None, dirty & child])
+        dirty &= child
+        if 2 * dirty.bit_count() > child.bit_count():
+            # over half the child is dirty already, so it cannot peel
+            dirty = child
+        else:
+            for u in iter_bits(pool & row):
+                dirty |= rows[u]
+            dirty &= child
+        stack.append([child, size + 1, None, dirty])
     return best + taken
 
 

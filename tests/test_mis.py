@@ -516,6 +516,8 @@ def test_every_kept_prefix_holds_its_bound(refutations):
     graphs = [gen_c4_free_process(n, round(m_frac * n * (n - 1) / 2), seed)
               for n in (16, 24, 32) for m_frac in (0.1, 0.2) for seed in range(3)]
     graphs += [cycles(5, 7), cycles(5, 5, 7, 7), petersen(), *random_gnp_corpus(20, 6, 16, seed=61)]
+    graphs += [gen_cubic(n, seed) for n in (16, 24) for seed in range(2)]
+    graphs += [gen_gnp(n, 3 / n, seed) for n in (16, 24) for seed in range(2)]
     for g in graphs:
         full = (1 << g.n) - 1
         for pool in (full, rng.getrandbits(g.n) | rng.getrandbits(g.n)):
@@ -529,3 +531,48 @@ def test_every_kept_prefix_holds_its_bound(refutations):
                     rest ^= low
                 assert ref_max_independent(g.adj, rest)[0] <= kmin
     assert any(refutations)
+
+
+def test_every_reason_holds_its_bound(monkeypatch):
+    # a conflict's reason is a union of whole live classes, and the start
+    # vertex and its classes hold at most one member per class
+    refuted, reasons = mis._refuted, []
+
+    def checked(rows, low, live, live_bits, colour):
+        reason = refuted(rows, low, live, live_bits, colour)
+        if reason:
+            assert not reason & ~live_bits
+            classes = [cls for cls in live if cls & reason]
+            assert all(not cls & ~reason for cls in classes)
+            assert ref_max_independent(rows, reason | low)[0] <= len(classes)
+            reasons.append(len(classes))
+        return reason
+
+    monkeypatch.setattr(mis, "_refuted", checked)
+    graphs = [gen_c4_free_process(n, round(0.1 * n * (n - 1) / 2), seed) for n in (24, 32, 40) for seed in range(2)]
+    graphs += [gen_cubic(n, seed) for n in (24, 32, 40) for seed in range(2)]
+    graphs += [gen_gnp(n, 3 / n, seed) for n in (24, 32, 40) for seed in range(2)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        assert _alpha(g.adj, full, 0, g.n) == ref_alpha_colour(g.adj, full, -1, g.n + 1)
+    assert len(reasons) > 50 and max(reasons) > 2
+
+
+@pytest.mark.parametrize("g, ceiling", [
+    (gen_c4_free_process(64, round(0.1 * 64 * 63 / 2), 0), 219),
+    (gen_cubic(80, 1), 164),
+])
+def test_value_search_nodes_stay_within_the_refined_count(monkeypatch, g, ceiling):
+    # a reason of every class that became unit on the way is sound too, but
+    # leaves fewer classes live: it visits 385 and 429 nodes
+    branch_vertices, nodes = mis._branch_vertices, 0
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return branch_vertices(*args)
+
+    monkeypatch.setattr(mis, "_branch_vertices", counted)
+    full = (1 << g.n) - 1
+    assert _alpha(g.adj, full, 0, g.n) == ref_alpha_colour(g.adj, full, -1, g.n + 1)
+    assert nodes <= ceiling
