@@ -82,6 +82,17 @@ def derive_seed(master: int, index: int, label: str = "") -> int:
 # intersection probabilities
 
 
+def _check_tail(i_size: int, d: int, k: int, s: int) -> None:
+    if i_size > MAX_VERTICES:
+        raise PreconditionError(f"|I|={i_size} above the vertex ceiling {MAX_VERTICES}")
+    if not 0 <= d <= i_size:
+        raise PreconditionError(f"need 0 <= d <= |I|, got d={d}, |I|={i_size}")
+    if not 0 <= k <= i_size:
+        raise PreconditionError(f"need 0 <= k <= |I|, got k={k}, |I|={i_size}")
+    if s < 1:
+        raise PreconditionError(f"need s >= 1, got {s}")
+
+
 def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
     """P[X <= s-1] for X = |I_j & N_I(v)| under a uniform k-subset I_j.
 
@@ -93,14 +104,7 @@ def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
     ratio t_(x+1)/t_x = (d-x)(k-x)/((x+1)(|I|-d-k+x+1)).  |I| is at most
     the vertex ceiling, as on every graph hitlab reads.
     """
-    if i_size > MAX_VERTICES:
-        raise PreconditionError(f"|I|={i_size} above the vertex ceiling {MAX_VERTICES}")
-    if not 0 <= d <= i_size:
-        raise PreconditionError(f"need 0 <= d <= |I|, got d={d}, |I|={i_size}")
-    if not 0 <= k <= i_size:
-        raise PreconditionError(f"need 0 <= k <= |I|, got k={k}, |I|={i_size}")
-    if s < 1:
-        raise PreconditionError(f"need s >= 1, got {s}")
+    _check_tail(i_size, d, k, s)
     lo, hi = max(0, d + k - i_size), min(d, k)
     if s > hi:
         return Fraction(1)
@@ -120,15 +124,62 @@ def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
     return Fraction(den - num if upper else num, den)
 
 
+# ln of half the least subnormal float and of 2**-54, less one nat for
+# lgamma's error: a tail below the first rounds to 0.0, and one whose
+# complement is below the second rounds to 1.0
+_LN_ROUNDS_TO_ZERO = -1075 * math.log(2) - 1
+_LN_ROUNDS_TO_ONE = -54 * math.log(2) - 1
+
+
+def _ln_term(i_size: int, d: int, k: int, x: int) -> float:
+    """ln P[X = x] = ln C(d, x) C(|I| - d, k - x) / C(|I|, k), by lgamma."""
+    lg = math.lgamma
+    return (lg(d + 1) - lg(x + 1) - lg(d - x + 1)
+            + lg(i_size - d + 1) - lg(k - x + 1) - lg(i_size - d - k + x + 1)
+            - lg(i_size + 1) + lg(k + 1) + lg(i_size - k + 1))
+
+
+def _settled_tail(i_size: int, d: int, k: int, s: int) -> Optional[float]:
+    """float(hypergeom_tail(...)) when a log-space bound settles it
+    without the exact fraction, else None.
+
+    The terms t_x = P[X = x] are log-concave, so the ratio t_(x+1)/t_x =
+    (d-x)(k-x)/((x+1)(|I|-d-k+x+1)) falls as x grows.  If t_(s-1) >=
+    t_(s-2), the tail over lo..s-1 is at most (s - lo) t_(s-1); if
+    t_(s+1) < t_s, its complement over s..hi is at most (hi - s + 1) t_s.
+    At |I| up to the vertex ceiling lgamma errs by far less than the nat
+    the thresholds keep in hand, and int / int division (`float` of a
+    Fraction) rounds to nearest, so the float is then 0.0 or 1.0.  The
+    exact path costs C(|I|, a) for a up to |I|/2: 6 s at |I| = 10^6.
+    """
+    lo, hi = max(0, d + k - i_size), min(d, k)
+    if not lo < s <= hi:
+        return None
+
+    def rising(x: int) -> bool:
+        return (d - x) * (k - x) >= (x + 1) * (i_size - d - k + x + 1)
+
+    if (s - 1 == lo or rising(s - 2)) and (
+            math.log(s - lo) + _ln_term(i_size, d, k, s - 1) < _LN_ROUNDS_TO_ZERO):
+        return 0.0
+    if (s == hi or not rising(s)) and (
+            math.log(hi - s + 1) + _ln_term(i_size, d, k, s) < _LN_ROUNDS_TO_ONE):
+        return 1.0
+    return None
+
+
 def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, float]:
     """(exact, binomial_form) escape probabilities for one vertex.
 
-    exact is the hypergeometric tail; binomial_form treats the k draws
-    as independent with success rate d/|I|, the upper-estimate shape
-    sum_x C(k,x) (1-d/|I|)^(k-x) (d/|I|)^x.  Both are reported so the
-    gap is measurable.
+    exact is the hypergeometric tail, rounded to the nearest float;
+    binomial_form treats the k draws as independent with success rate
+    d/|I|, the upper-estimate shape sum_x C(k,x) (1-d/|I|)^(k-x)
+    (d/|I|)^x.  Both are reported so the gap is measurable.
     """
-    exact = float(hypergeom_tail(i_size, d, k, s))
+    _check_tail(i_size, d, k, s)
+    exact = _settled_tail(i_size, d, k, s)
+    if exact is None:
+        exact = float(hypergeom_tail(i_size, d, k, s))
     ratio = d / i_size if i_size else 0.0
     est = 0.0
     c = 1  # C(k, x), kept up to date as x grows

@@ -292,6 +292,11 @@ def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     records = run_experiment(config)
     _write_or_print(records_to_csv(records, include_timings=args.include_timings), args.out)
+    # a refused cell's row has blank columns; say why, under a prefix that
+    # no `error:<kind>:` line has, since the run itself succeeds
+    for rec in records:
+        if rec.error is not None:
+            sys.stderr.write(f"refused cell: {rec.family} n={rec.n} seed={rec.seed}: {rec.error}\n")
     return 0
 
 

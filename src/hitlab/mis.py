@@ -83,6 +83,26 @@ half its pool as dirty cannot peel: it counts its whole pool as dirty
 (so its subtree peels no more) and skips collecting what its include
 removed.  On the C4-free, cubic and gnp graphs above, that shortcut
 left the node counts as they were.
+
+Why the value search has a second incumbent: a search that starts below
+alpha spends much of its time on sets the optimum would have pruned.  On
+the 7 construct-large graphs where the greedy set falls short, the search
+takes about 40 ms from the greedy set and 21 ms from alpha.  Min-degree
+greedy with ties broken toward the candidate whose pool neighbours have
+the largest sum of pool degrees reaches alpha on 12 of the 13
+construct-large graphs, the first greedy on 6.  Its tie scan costs tens
+of microseconds a call on those graphs, but |pool|^2 on pools of many
+equal degrees (0.2 s on 400 disjoint C5, whose whole search takes 7 ms).
+So it runs only in a value search (goal - best > 1) whose root keeps at
+least two branch vertices under the first incumbent: large structured
+graphs (interval, long cycles, disjoint unions) keep 0 or 1 there, and
+the C4-free, cubic and gnp graphs 10 to 46.  It runs on the original
+ids, where it found larger sets than on the relabelled rows.  The witness
+walk keeps the first greedy for its own rule, since the frozen tree
+starts from it, so every witness stays as it was; the value search that
+gives the walk alpha may use the second, since only the number leaves
+it.  Decision searches keep one greedy: the second there made the
+certify benchmark's round about 6 % slower.
 """
 
 from __future__ import annotations
@@ -113,13 +133,17 @@ class MisFamily:
         return len(self.sets)
 
 
-def _greedy_mis(adj, pool: int) -> int:
+def _greedy_mis(adj, pool: int, tied: bool = False) -> int:
     """Min-degree-first greedy independent set; the initial incumbent.
 
-    Takes the vertex of least pool degree, smallest id on ties.  Pool
-    degrees sit in buckets (bitmask per degree) and only the pool
-    neighbours of the vertices a pick removes are rebucketed, so the
-    work is bounded by the edges inside the pool, not |pool|^2.
+    Takes the vertex of least pool degree, smallest id on ties.  With
+    `tied`, ties go first to the candidate whose pool neighbours have the
+    largest sum of pool degrees (the value search's second incumbent,
+    see `_alpha`).  Pool degrees sit in buckets (bitmask per degree) and
+    only the pool neighbours of the vertices a pick removes are
+    rebucketed, so the work is bounded by the edges inside the pool, not
+    |pool|^2; the tie scan over the least bucket is not, and costs
+    |pool|^2 on a pool of equal degrees.
     """
     deg = [0] * len(adj)
     buckets = [0] * pool.bit_count()
@@ -135,7 +159,20 @@ def _greedy_mis(adj, pool: int) -> int:
     while pool:
         while not buckets[lo]:
             lo += 1
-        low = buckets[lo] & -buckets[lo]
+        ties = buckets[lo]
+        low = ties & -ties
+        if tied and lo and ties != low:
+            most = -1
+            while ties:
+                c = ties & -ties
+                ties ^= c
+                m, s = adj[c.bit_length() - 1] & pool, 0
+                while m:
+                    b = m & -m
+                    m ^= b
+                    s += deg[b.bit_length() - 1]
+                if s > most:
+                    most, low = s, c
         v = low.bit_length() - 1
         acc |= low
         removed = (adj[v] & pool) | low
@@ -370,6 +407,13 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     full before the greedy set; a node below peels only its dirty
     vertices, and only when they are at most half its pool (the module
     docstring says why).
+
+    A value search (goal - best > 1) whose root keeps at least two branch
+    vertices first tries a second incumbent, the greedy set with ties
+    broken by the neighbours' degrees; if it is larger, it raises best
+    and the root's branch list is taken again.  Decision searches never
+    run it, and the witness walk takes its own path from the first
+    greedy set (the module docstring says why).
     """
     taken, pool = _peel(adj, pool)
     taken = taken.bit_count()
@@ -383,9 +427,18 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
             return best + taken
     rows = _relabel(adj, pool)
     colour = [0] * len(rows)
+    root = (1 << len(rows)) - 1
+    branch = _branch_vertices(rows, root, best, colour)
+    if goal - best > 1 and len(branch) > 1:
+        second = _greedy_mis(adj, pool, tied=True).bit_count()
+        if second > best:
+            best = second
+            if best >= goal:
+                return best + taken
+            branch = _branch_vertices(rows, root, best, colour)
     # node: [pool, size, branch, dirty]; every pool vertex outside dirty
     # has pool degree 2 or more
-    stack = [[(1 << len(rows)) - 1, 0, None, 0]]
+    stack = [[root, 0, branch, 0]]
     while stack:
         node = stack[-1]
         pool, size, branch, dirty = node

@@ -9,7 +9,9 @@ original O(n^2) greedy, the first-fit clique cover and the branch and
 bound built on them, kept verbatim: the library's incremental versions
 must give the same incumbent, the same cover decisions and so the same
 search tree, alpha and witness, and the witness walk must reach the
-leaf this search returns.  ref_bin_and_select is the original scan of
+leaf this search returns.  ref_greedy_tied is the plain form of the
+value search's second incumbent: the bucketed greedy with its tie rule
+must take the same set.  ref_bin_and_select is the original scan of
 every bin for every outside vertex.
 
 ref_min_hitting_set, ref_sample_hitting_set and ref_monte_carlo_e are
@@ -271,6 +273,21 @@ def ref_greedy_mis(adj, pool: int) -> int:
         acc |= 1 << best_v
         pool &= ~adj[best_v]
         pool ^= 1 << best_v
+    return acc
+
+
+def ref_greedy_tied(adj, pool: int) -> int:
+    """Min-degree-first greedy independent set, ties to the largest sum of
+    the neighbours' pool degrees, then to the smallest id; every degree
+    is recounted at every step."""
+    acc = 0
+    while pool:
+        deg = {v: (adj[v] & pool).bit_count() for v in iter_bits(pool)}
+        least = min(deg.values())
+        v = max((v for v in deg if deg[v] == least),
+                key=lambda v: (sum(deg[u] for u in iter_bits(adj[v] & pool)), -v))
+        acc |= 1 << v
+        pool &= ~(adj[v] | 1 << v)
     return acc
 
 

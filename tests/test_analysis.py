@@ -36,6 +36,7 @@ from hitlab.analysis import (
     CSV_HEADER,
     ExperimentRecord,
     _family_builder,
+    _settled_tail,
     derive_seed,
     resolve_schedule,
 )
@@ -157,6 +158,32 @@ class TestProbLowIntersection:
         assert exact == 1.0 and est == 1.0
         exact, est = prob_low_intersection(6, 6, 2, 1)
         assert exact == 0.0 and est == 0.0
+
+    def test_far_tails_are_settled_without_the_exact_fraction(self, monkeypatch):
+        # C(10^6, 5*10^5) alone took 6 s; a tail whose log-space bound puts
+        # it below half the least subnormal, or its complement below
+        # 2^-54, needs no binomial coefficient
+        comb = math.comb
+
+        def small_comb(n, r):
+            assert min(r, n - r) <= 10**4, (n, r)
+            return comb(n, r)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        assert prob_low_intersection(10**6, 5 * 10**5, 5 * 10**5, 1) == (0.0, 0.0)
+        assert prob_low_intersection(10**6, 20000, 500000, 11000)[0] == 1.0
+
+    def test_settled_tails_match_the_exact_path(self):
+        settled = []
+        for i_size in (600, 1800):
+            for d in (i_size // 10, i_size // 3, i_size // 2, 9 * i_size // 10):
+                for k in (i_size // 10, i_size // 2, 9 * i_size // 10):
+                    lo, hi = max(0, d + k - i_size), min(d, k)
+                    for s in range(lo + 1, hi + 1, 7):
+                        exact, _ = prob_low_intersection(i_size, d, k, s)
+                        assert exact == float(hypergeom_tail(i_size, d, k, s)), (i_size, d, k, s)
+                        settled.append(_settled_tail(i_size, d, k, s))
+        assert settled.count(0.0) > 10 and settled.count(1.0) > 100
 
 
 def direct_bounds(n, c, theta_lo, theta_hi, k, s):

@@ -553,6 +553,8 @@ class TestProb:
             (["--i-size", "1000000", "--d", "5", "--k", "500000", "--s", "2"], "0.1874993749984375"),
             # one term, P[X = 50000] = 1/C(100000, 50000); the tail rounds to 1.0
             (["--i-size", "100000", "--d", "50000", "--k", "50000", "--s", "50000"], "1.0"),
+            # 1/C(10^6, 5*10^5) rounds to 0.0; that binomial alone took 6 s
+            (["--i-size", "1000000", "--d", "500000", "--k", "500000", "--s", "1"], "0.0"),
         ],
     )
     def test_large_inputs_take_the_short_tail(self, argv, exact):
@@ -618,6 +620,16 @@ class TestExperiment:
         code, out, _ = cli(capsys, "experiment", "--config", config_path, "--include-timings")
         assert code == 0
         assert not any(line.endswith(",") for line in out.splitlines()[1:])
+
+    def test_refused_cells_are_named_on_stderr(self, capsys, tmp_path):
+        # the row stays as it was; stderr says why it is blank, under a
+        # prefix that is not the `error:<kind>:` of a failed run
+        path = tmp_path / "x.json"
+        path.write_text(SWEEP_CONFIG.replace("[6]", "[1, 6]") % '{"mode": "auto", "s": 2, "t": 2, "k": 2}')
+        code, out, err = cli(capsys, "experiment", "--config", str(path))
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,path,1,1,1,,,1,,", "1,path,6,1,3,2,4,2,5,"]
+        assert err == "refused cell: path n=1 seed=1: infeasible: schedule needs |H|=2 and k=2 inside alpha=1\n"
 
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = cli(capsys, "experiment", "--config", str(tmp_path / "none.json"))

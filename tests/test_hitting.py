@@ -50,11 +50,15 @@ from helpers import (
     address_space_cap,
     all_hit,
     brute_min_hitting,
+    gen_interval,
+    gen_split,
+    interval_alpha,
     random_gnp_corpus,
     ref_bin_and_select,
     ref_min_hitting_set,
     ref_sample_hitting_set,
     shuffled_union,
+    split_alpha,
 )
 
 UNIT_BIN = ((1.0, 2.0),)
@@ -379,6 +383,22 @@ class TestConstructModes:
         c4 = gen_cycle(4)
         with pytest.raises(FreenessViolationError):
             construct_hitting_set(c4, simple_sched(delta=0.4), seed=0)
+
+    @pytest.mark.parametrize("kind, n", [("split", 200), ("split", 400), ("interval", 200), ("interval", 500)])
+    def test_constructed_certificates_verify_at_large_n(self, kind, n):
+        # split and interval graphs have no induced C4 = K_{2,2}, and their
+        # closed forms for alpha share no code with hitlab.mis
+        if kind == "split":
+            g = gen_split(n, 0.3, seed=n)
+            alpha = split_alpha(g)
+        else:
+            g, spans = gen_interval(n, seed=n)
+            alpha = interval_alpha(spans)
+        sched = resolve_schedule(g, {"mode": "auto", "s": 2, "t": 2, "k": 2})
+        cert = construct_hitting_set(g, sched, seed=n)
+        assert cert.mode == MODE_SAMPLED_CORE
+        assert cert.I.size == alpha
+        assert verify_hitting_set(g, cert.T)
 
 
 class TestMinHittingSet:
