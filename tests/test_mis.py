@@ -18,6 +18,7 @@ from hitlab.graph import (
     gen_cycle,
     gen_gnp,
     gen_path,
+    iter_bits,
     min_degree_vertex,
 )
 import hitlab.mis as mis
@@ -383,6 +384,44 @@ def test_searches_match_closed_forms_at_large_n(kind, n, p):
     assert first_missed(g, VertexSet(g.n, g.adj[v] | 1 << v)) is None
 
 
+def matching_line_graph(size: int, seed: int) -> tuple[Graph, list[tuple[int, int]]]:
+    """L(B) for B the union of three random perfect matchings of
+    K_{size,size}, with B's edges (left, right) as vertices in order of
+    their left endpoint."""
+    rng, edges = random.Random(seed), set()
+    for _ in range(3):
+        right = list(range(size))
+        rng.shuffle(right)
+        edges.update(enumerate(right))
+    edges = sorted(edges)
+    pairs = [(i, j) for j, (a, b) in enumerate(edges) for i, (c, d) in enumerate(edges[:j]) if a == c or b == d]
+    return Graph.from_edges(len(edges), pairs), edges
+
+
+@pytest.mark.parametrize("size", [40, 60])
+def test_the_clique_cover_caps_every_search(monkeypatch, size):
+    # alpha(L(B)) is B's matching number, size: a perfect matching gives
+    # the lower bound and the cliques of edges at each left endpoint the
+    # upper one.  A greedy set of alpha at floor alpha must still try the
+    # cover, or the decision at alpha + 1 runs a search of many seconds.
+    g, edges = matching_line_graph(size, seed=size)
+    branch_vertices, nodes = mis._branch_vertices, 0
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return branch_vertices(*args)
+
+    monkeypatch.setattr(mis, "_branch_vertices", counted)
+    full = (1 << g.n) - 1
+    assert not has_independent(g.adj, full, size + 1)
+    assert nodes == 0
+    alpha, witness = alpha_with_witness(g)
+    matching = [edges[v] for v in witness.members()]
+    assert alpha == len(matching) == size
+    assert {a for a, _ in matching} == {b for _, b in matching} == set(range(size))
+
+
 def test_targets_up_to_two_are_answered_without_a_search():
     # a target of 1 is "the pool is not empty", 2 is "not a clique"
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)])
@@ -578,16 +617,64 @@ def test_every_reason_holds_its_bound(monkeypatch):
     assert len(reasons) > 50 and max(reasons) > 2
 
 
+@pytest.fixture
+def live_classes(monkeypatch):
+    """The live classes `_refuted` is given while a test runs, each
+    checked against its colour entries."""
+    refuted, seen = mis._refuted, []
+
+    def recorded(rows, low, live, live_bits, colour):
+        assert all(colour[v] == i for i, cls in enumerate(live) for v in iter_bits(cls))
+        assert not live_bits & low
+        seen.append((rows, list(live)))
+        return refuted(rows, low, live, live_bits, colour)
+
+    monkeypatch.setattr(mis, "_refuted", recorded)
+    return seen
+
+
+def test_a_live_class_closes_a_triangle_past_its_lowest_neighbour(live_classes):
+    # 0's lowest neighbour 1 shares no neighbour with it, but 2 closes the
+    # triangle 0-2-3; the plain lowest-neighbour rule would build {0, 1}
+    g = Graph.from_edges(5, [(0, 1), (1, 4), (0, 2), (0, 3), (2, 3)])
+    _branch_vertices(g.adj, (1 << g.n) - 1, 1)
+    assert live_classes
+    assert all(live[0] == 0b1101 for _, live in live_classes)
+
+
+def test_live_classes_are_disjoint_cliques(live_classes):
+    graphs = [gen_c4_free_process(n, round(0.1 * n * (n - 1) / 2), seed) for n in (32, 48) for seed in range(2)]
+    graphs += [gen_cubic(n, seed) for n in (32, 48) for seed in range(2)]
+    graphs += [gen_gnp(n, p, seed) for n, p in ((32, 0.1), (40, 3 / 40)) for seed in range(2)]
+    graphs += [gen_cluster([3, 4, 2, 5]), gen_cluster([3] * 12)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        assert _alpha(g.adj, full, 0, g.n) == ref_alpha_colour(g.adj, full, -1, g.n + 1)
+    assert len(live_classes) > 100
+    triangles = 0
+    for rows, live in live_classes:
+        union = 0
+        for cls in live:
+            assert all(not (cls ^ (1 << v)) & ~rows[v] for v in iter_bits(cls))
+            assert not cls & union
+            union |= cls
+            triangles += cls.bit_count() == 3
+    assert triangles
+
+
 @pytest.mark.parametrize("g, ceiling", [
-    (gen_c4_free_process(64, round(0.1 * 64 * 63 / 2), 0), 219),
+    (gen_c4_free_process(64, round(0.1 * 64 * 63 / 2), 0), 160),
     (gen_cubic(80, 1), 164),
-    (gen_c4_free_process(80, round(0.1 * 80 * 79 / 2), 0), 330),
+    (gen_c4_free_process(80, round(0.1 * 80 * 79 / 2), 0), 205),
 ])
 def test_value_search_nodes_stay_within_the_refined_count(monkeypatch, g, ceiling):
     # a reason of every class that became unit on the way is sound too, but
-    # leaves fewer classes live: it visits 385 and 429 nodes on the first
+    # leaves fewer classes live: it visits 226 and 407 nodes on the first
     # two graphs.  On the third the first greedy set is 2 short of alpha
-    # and the second one is not: without it the search visits 881 nodes.
+    # and the second one is not: without it the search visits 550 nodes.
+    # Live classes that close a triangle past their start's lowest
+    # neighbour take the C4-free graphs down from 187 and 294 nodes; the
+    # cubic graph has no triangle.
     branch_vertices, nodes = mis._branch_vertices, 0
 
     def counted(*args):
