@@ -17,8 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
+import signal
+import sys
+import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -129,6 +134,7 @@ def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
 # complement is below the second rounds to 1.0
 _LN_ROUNDS_TO_ZERO = -1075 * math.log(2) - 1
 _LN_ROUNDS_TO_ONE = -54 * math.log(2) - 1
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _ln_term(i_size: int, d: int, k: int, x: int) -> float:
@@ -175,6 +181,10 @@ def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, f
     binomial_form treats the k draws as independent with success rate
     d/|I|, the upper-estimate shape sum_x C(k,x) (1-d/|I|)^(k-x)
     (d/|I|)^x.  Both are reported so the gap is measurable.
+
+    C(k, x) is carried as an integer while it fits a float and as its
+    logarithm while it does not, so a step costs O(1) at any k.  The sum
+    stops past the mode once a term can no longer change it.
     """
     _check_tail(i_size, d, k, s)
     exact = _settled_tail(i_size, d, k, s)
@@ -182,14 +192,32 @@ def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, f
         exact = float(hypergeom_tail(i_size, d, k, s))
     ratio = d / i_size if i_size else 0.0
     est = 0.0
-    c = 1  # C(k, x), kept up to date as x grows
+    c, ln_c = 1, None  # C(k, x), or its natural log while C(k, x) is past the float range
     for x in range(0, min(s, k + 1)):  # C(k, x) = 0 above k
-        try:
-            est += c * (1.0 - ratio) ** (k - x) * ratio ** x
-        except OverflowError:  # C(k, x) is past the float range, so 0 < x < k
+        if ln_c is None:
+            try:
+                term = c * (1.0 - ratio) ** (k - x) * ratio ** x
+            except OverflowError:  # C(k, x) has just left the float range, so 0 < x < k
+                ln_c, ln_err = math.log(c), 0.0
+        if ln_c is not None:
+            term = 0.0
             if 0.0 < ratio < 1.0:
-                est += math.exp(math.log(c) + (k - x) * math.log1p(-ratio) + x * math.log(ratio))
-        c = c * (k - x) // (x + 1)
+                term = math.exp(ln_c + (k - x) * math.log1p(-ratio) + x * math.log(ratio))
+        est += term
+        # past the mode every later term is at most this one, and one below
+        # a quarter ulp leaves the sum as it is, even off by a rounding
+        if (k - x) * d <= (x + 1) * (i_size - d) and term < math.ulp(est) / 4:
+            break
+        if ln_c is None:
+            c = c * (k - x) // (x + 1)
+        else:
+            # a compensated sum: uncompensated, ln C(500000, 250000) drifts by 3e-9
+            step = math.log(k - x) - math.log(x + 1) - ln_err
+            ln_next = ln_c + step
+            ln_err = (ln_next - ln_c) - step
+            ln_c = ln_next
+            if ln_c < _LN_FLOAT_MAX - 1:
+                c, ln_c = math.comb(k, x + 1), None
     return exact, est
 
 
@@ -264,8 +292,16 @@ def monte_carlo_e(
     Each trial reseeds one generator with derive_seed(seed, trial,
     "mc-e") and makes sample_Ij's one draw, so I_j is byte-identical to
     Random.sample from a Random of that seed; samples keep trial order.  K
-    and e are built once per distinct I_j, as e is the outside vertices'
-    summed I-degree less that of K's.
+    and e are built once per distinct I_j in each process, as e is the
+    outside vertices' summed I-degree less that of K's.
+
+    A trial's sample depends on its index alone: its generator state comes
+    from its own seed, and the cache of e only saves work.  So the trials
+    split into contiguous ranges, one per CPU this process may use and at
+    most one per _MIN_TRIALS_PER_PROCESS trials; this process runs the
+    first range and a forked child each later one (see _split_run).  The
+    samples, mean and std_error are those of one serial loop on any number
+    of CPUs.
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
@@ -278,19 +314,24 @@ def monte_carlo_e(
     degree = {v: (g.adj[v] & i_bits).bit_count() for v in iter_bits(outside)}
     base_e = sum(degree.values())
     members = i_set.members()
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed  # the C seeding alone; Random.seed adds type checks
     prefix = _seed_prefix(seed, "mc-e")
-    e_of: dict[int, int] = {}
-    samples = []
-    for idx in range(trials):
-        reseed(_seed_at(prefix, idx))
-        i_j = _draw_bits(rng, members, k)
-        e = e_of.get(i_j)
-        if e is None:
-            k_bits = build_K(g, VertexSet(g.n, i_j), sched.s, sched.t).bits & outside
-            e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
-        samples.append(e)
+
+    def chunk(lo: int, hi: int) -> list[int]:
+        rng = random.Random()
+        reseed = super(random.Random, rng).seed  # the C seeding alone; Random.seed adds type checks
+        e_of: dict[int, int] = {}
+        samples = []
+        for idx in range(lo, hi):
+            reseed(_seed_at(prefix, idx))
+            i_j = _draw_bits(rng, members, k)
+            e = e_of.get(i_j)
+            if e is None:
+                k_bits = build_K(g, VertexSet(g.n, i_j), sched.s, sched.t).bits & outside
+                e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
+            samples.append(e)
+        return samples
+
+    samples = _split_run(chunk, _trial_ranges(trials))
     total = sum(samples)
     mean = total / trials
     if trials > 1:
@@ -299,6 +340,102 @@ def monte_carlo_e(
     else:
         std_error = 0.0
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
+
+
+# A fork, exit and reap of a 21-22 MB interpreter costs 2.4-3.3 ms on a
+# 2-CPU host and a trial about 11 us, so a process pays for itself from
+# several hundred trials on.  mc-e's default of 100 trials stays in one
+# process.
+_MIN_TRIALS_PER_PROCESS = 1000
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _trial_ranges(trials: int) -> list[tuple[int, int]]:
+    """range(trials) as contiguous (lo, hi) ranges in order, their sizes
+    differing by at most one: one range per CPU and per
+    _MIN_TRIALS_PER_PROCESS trials, or a single range where forking is
+    unsafe.  A fork copies only the calling thread, so with a second
+    thread alive the child could wait forever on a lock that thread held."""
+    parts = min(_cpus(), trials // _MIN_TRIALS_PER_PROCESS)
+    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [(0, trials)]
+    step, extra = divmod(trials, parts)
+    cuts = [i * step + min(i, extra) for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _split_run(chunk: Callable[[int, int], list[int]], ranges: list[tuple[int, int]]) -> list[int]:
+    """chunk(lo, hi) over each range, concatenated in range order.
+
+    This process runs the first range and a forked child each later one.
+    A range whose fork failed, or whose child exits non-zero or sends the
+    wrong count, is rerun here, so an error is raised at the trial, and
+    with the message, of the serial loop.  Every child is reaped before
+    this returns or raises.
+    """
+    children = {}  # range index -> (pid, read end of its pipe), until reaped
+    try:
+        for i in range(1, len(ranges)):
+            child = _fork_chunk(chunk, *ranges[i])
+            if child is not None:
+                children[i] = child
+        samples = chunk(*ranges[0])
+        for i in range(1, len(ranges)):
+            lo, hi = ranges[i]
+            if i in children:
+                pid, pipe = children[i]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[i]
+                got = array("q")
+                if status == 0 and len(data) == got.itemsize * (hi - lo):
+                    got.frombytes(data)
+                    samples.extend(got)
+                    continue
+            samples.extend(chunk(lo, hi))
+        return samples
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_chunk(chunk: Callable[[int, int], list[int]], lo: int, hi: int):
+    """Fork a child that writes chunk(lo, hi) to a pipe as 64-bit integers
+    and exits, 0 only when every byte went out: (its pid, the pipe's read
+    end as a file), or None when no child could be started.  The child
+    leaves by os._exit, which skips the parent's cleanup, flushes and exit
+    handlers."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            out = memoryview(array("q", chunk(lo, hi)).tobytes())
+            while out:
+                out = out[os.write(write_fd, out):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def _sqrt_ratio(num: int, den: int) -> float:

@@ -3,8 +3,10 @@ Monte Carlo determinism, config plumbing, CSV schema."""
 
 import json
 import math
+import os
 import random
 import re
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -386,6 +388,113 @@ class TestMonteCarloE:
         monkeypatch.setattr(analysis, "build_K", lambda g, i_j, s, t: built.append(i_j) or build_K(g, i_j, s, t))
         monte_carlo_e(g, i_set, sched, 500, 3)
         assert len(built) == len(set(built)) < 500
+
+
+def c4free_case(m_frac, graph_seed, s, t, k):
+    g = gen_c4_free_process(40, round(m_frac * 40 * 39 / 2), graph_seed)
+    _, i_set = alpha_with_witness(g)
+    return g, i_set, resolve_schedule(g, {"mode": "auto", "s": s, "t": t, "k": k})
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(cpus) runs monte_carlo_e as on `cpus` CPUs with no trial
+    minimum per process; it returns the pids forked and a count of the
+    trials drawn in this process."""
+
+    def force(cpus):
+        monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis, "_MIN_TRIALS_PER_PROCESS", 1)
+        forks, here = [], []
+        fork, draw = os.fork, analysis._draw_bits
+
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(analysis, "_draw_bits", lambda *args: here.append(1) or draw(*args))
+        return forks, here
+
+    return force
+
+
+class TestMonteCarloSplit:
+    """The trials split over forked children give the serial loop's samples
+    and errors, and leave no process behind."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_samples_match_the_serial_loop(self, split, cpus):
+        cases = [c4free_case(0.1, 0, 2, 2, 2), c4free_case(0.2, 1, 2, 2, 2), (gen_path(10), i_of(10, [0, 2, 4, 6, 8]), P10_SCHED)]
+        runs = [(case, trials, monte_carlo_e(*case, trials, 5)) for case in cases for trials in (601, 1000)]
+        forks, here = split(cpus)
+        for case, trials, serial in runs:
+            forks.clear()
+            here.clear()
+            est = monte_carlo_e(*case, trials, 5)
+            assert_no_child_left()
+            assert est == serial and est.samples == ref_monte_carlo_e(*case, trials, 5)
+            # every child's samples came through its pipe, none rerun here
+            assert len(forks) == cpus - 1 and len(here) == -(-trials // cpus)
+
+    @pytest.mark.parametrize(
+        "case,seed,first_bad,trials,cpus,in_child",
+        [
+            # the per-trial loop's violating cases: every trial raises
+            ((0.1, 0, 1, 2, 3), 7, 0, 601, 2, False),
+            ((0.2, 1, 1, 2, 3), 8, 0, 601, 3, False),
+            ((0.05, 2, 1, 4, 2), 9, 31, 64, 2, False),
+            ((0.05, 2, 1, 4, 2), 9, 31, 32, 2, True),
+            ((0.05, 2, 1, 4, 2), 9, 31, 32, 3, True),
+        ],
+    )
+    def test_freeness_violation_raised_as_the_serial_loop(self, split, case, seed, first_bad, trials, cpus, in_child):
+        g, i_set, sched = c4free_case(*case)
+        if first_bad:
+            monte_carlo_e(g, i_set, sched, first_bad, seed)
+        with pytest.raises(FreenessViolationError) as serial:
+            monte_carlo_e(g, i_set, sched, trials, seed)
+        forks, _ = split(cpus)
+        ranges = analysis._trial_ranges(trials)
+        assert len(ranges) == cpus and (ranges[0][1] <= first_bad) == in_child
+        with pytest.raises(FreenessViolationError, match=re.escape(str(serial.value))):
+            monte_carlo_e(g, i_set, sched, trials, seed)
+        assert_no_child_left()
+        assert len(forks) == cpus - 1
+
+    def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        g, i_set, sched = c4free_case(0.1, 0, 2, 2, 2)
+        want = ref_monte_carlo_e(g, i_set, sched, 601, 5)
+        monkeypatch.setattr(analysis, "_MIN_TRIALS_PER_PROCESS", 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(analysis, "_cpus", lambda: 1)
+        assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want
+        monkeypatch.setattr(analysis, "_cpus", lambda: 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+
+    def test_small_calls_stay_in_one_process(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.setattr(analysis, "_cpus", lambda: 2)
+        g, i_set, sched = c4free_case(0.1, 0, 2, 2, 2)
+        trials = 2 * analysis._MIN_TRIALS_PER_PROCESS - 1
+        assert monte_carlo_e(g, i_set, sched, trials, 5).samples == ref_monte_carlo_e(g, i_set, sched, trials, 5)
 
 
 class TestHighDegreeRegime:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hitlab
+from hitlab import analysis
 from hitlab.cli import build_parser, dispatch, main
 from hitlab.analysis import resolve_schedule
 from hitlab.graph import Graph, gen_c4_free_process, gen_cluster, gen_cycle, gen_path
@@ -555,10 +556,14 @@ class TestProb:
             (["--i-size", "100000", "--d", "50000", "--k", "50000", "--s", "50000"], "1.0"),
             # 1/C(10^6, 5*10^5) rounds to 0.0; that binomial alone took 6 s
             (["--i-size", "1000000", "--d", "500000", "--k", "500000", "--s", "1"], "0.0"),
+            # C(500000, x) leaves the float range at x = 73 and the terms fall
+            # below a quarter ulp of the sum 2,769 past the mode at 250000
+            (["--i-size", "1000000", "--d", "500000", "--k", "500000", "--s", "300000"], "1.0"),
         ],
     )
     def test_large_inputs_take_the_short_tail(self, argv, exact):
-        # the sum of binomials took 30 s on the first and over 60 s on the second
+        # the sum of binomials took 30 s on the first, over 60 s on the
+        # second and 37 s on the last, carrying C(k, x) as an integer
         run = python_dash_m("hitlab", "prob", *argv, timeout=2)
         assert run.returncode == 0 and run.stderr == ""
         assert run.stdout.startswith(f"exact: {exact}\n")
@@ -578,6 +583,19 @@ class TestMcE:
         )
         assert code == 0
         assert out == "trials: 300\nmean: 28.72\nstd_error: 0.23301810208100973\n"
+
+    def test_output_is_the_same_on_one_cpu_and_two(self, capsys, tmp_path, monkeypatch):
+        path = write_graph(tmp_path, "c4free40.el", gen_c4_free_process(40, 78, 1))
+        argv = ("mc-e", "--graph", path, "--schedule", "auto", "--seed", "5", "--trials", "3000")
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+            runs.append(cli(capsys, *argv))
+        assert runs[0] == runs[1] and runs[0][0] == 0 and len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_k_must_fit_alpha(self, capsys, c5_path):
         code, _, err = cli(capsys, "mc-e", "--graph", c5_path, "--k", "3")
