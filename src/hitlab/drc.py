@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import FreenessViolationError, PreconditionError
 from .graph import Graph, InducedEmbedding, VertexSet, iter_bits
 from .io import FLOAT, INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record, read_vertex
 from .mis import _independent_sets, has_independent
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRANCH_CODEGREE = "codegree"
 BRANCH_ARGMAX = "argmax"
@@ -118,6 +120,8 @@ def drc_clique(g: Graph, alpha_density: float, sharp_beta: bool = False) -> DrcT
     for empirical comparison.  Deterministic: exact scores, ties to the
     smallest vertex id.
     """
+    from fractions import Fraction
+
     if g.n < 1:
         raise PreconditionError("empty graph has no cliques")
     if not 0.0 < alpha_density <= 1.0:
@@ -178,6 +182,12 @@ def matching_audit(trace: DrcTrace) -> bool:
 # ---------------------------------------------------------------------------
 # text form
 
+def _read_fraction(text: str, n: int) -> Fraction:
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 def _read_matching(text: str, n: int) -> tuple[tuple[int, int], ...]:
     pairs = (tok.partition("-") for tok in text.split())
     return tuple((read_vertex(p, n), read_vertex(q, n)) for p, _, q in pairs)
@@ -189,7 +199,7 @@ _TRACE_FIELDS = {
     "x": VERTEX,
     "U": VERTICES,
     "Y": INT,
-    "Z": optional((str, lambda text, n: Fraction(text))),
+    "Z": optional((str, _read_fraction)),
     "matching": (lambda matching: " ".join(f"{p}-{q}" for p, q in matching), _read_matching),
     "clique": VERTICES,
     "beta": FLOAT,

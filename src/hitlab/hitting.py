@@ -24,7 +24,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -638,6 +637,8 @@ def size_bound_check(cert: HittingCertificate, sched: ParamSchedule, e_observed:
     the averaging step's displayed inequality with the observed residual
     edge count plugged in.
     """
+    from fractions import Fraction
+
     if cert.mode != MODE_SAMPLED_CORE:
         raise PreconditionError(f"size bound audits {MODE_SAMPLED_CORE} runs, got {cert.mode!r}")
     if e_observed < 0:

@@ -155,6 +155,22 @@ class TestProbLowIntersection:
         want = sum(math.comb(k, x) * (1 - p) ** (k - x) * p**x for x in range(s))
         assert est == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "i_size,d,k,s",
+        [
+            # (1 - d/|I|)^k underflows to 0.0 while C(k, x) is still a float
+            (3000, 870, 2342, 147),
+            (3000, 1022, 2477, 97),
+            # the power is subnormal and lost 3 % before C(k, x) scaled it
+            (3000, 1529, 1623, 262),
+        ],
+    )
+    def test_estimate_survives_powers_below_the_least_float(self, i_size, d, k, s):
+        _, est = prob_low_intersection(i_size, d, k, s)
+        p = Fraction(d, i_size)
+        want = sum(math.comb(k, x) * (1 - p) ** (k - x) * p**x for x in range(s))
+        assert abs(Fraction(est) - want) <= want * Fraction(1, 10**9)
+
     def test_degenerate_edges(self):
         exact, est = prob_low_intersection(6, 0, 2, 1)
         assert exact == 1.0 and est == 1.0

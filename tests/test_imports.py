@@ -1,4 +1,5 @@
-"""Every name a hitlab module imports is used in that module.
+"""Every name a hitlab module imports is used in that module, and importing
+hitlab loads no module that only some calls need.
 
 The one exception is a name the traced benchmark wraps: a module may
 import a layer only so that `bench/run.py --trace 1` sees the calls made
@@ -8,6 +9,8 @@ WRAPS.  `__init__` re-exports names and is not checked.
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +61,31 @@ def test_every_imported_name_is_used():
         if (path.stem, name) not in traced
     ]
     assert unused == []
+
+
+# modules a hitlab import leaves to the first call that needs them: hashlib
+# loads OpenSSL for Monte Carlo seeds alone, fractions (and through it
+# decimal) serves the exact audits, json the config reader, signal and array
+# the Monte Carlo fork helpers
+DEFERRED = ("hashlib", "_hashlib", "fractions", "decimal", "json", "signal", "array")
+
+
+def run_bare(code: str) -> str:
+    """stdout of `code` in a fresh interpreter that skips site, so no .pth
+    file can load a module first, with src on the path."""
+    prelude = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+    out = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", prelude + code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return out.stdout
+
+
+def test_import_leaves_the_deferred_modules_unloaded():
+    code = f"import hitlab, hitlab.cli; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
+    assert run_bare(code) == "[]\n"
+
+
+def test_seeds_are_unchanged_when_hashlib_loads_on_first_use():
+    code = "from hitlab.analysis import derive_seed; print(derive_seed(7, 0, 'mc-e'), 'hashlib' in sys.modules)"
+    assert run_bare(code) == "7035547813488187649 True\n"
