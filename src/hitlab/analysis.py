@@ -273,19 +273,24 @@ def analytic_e_bound(
     log_q = log_hi - math.log(c) - ln_n
     if log_q >= 0.0:
         return a_s, -math.inf
-    terms = []
     q = math.exp(log_q)
-    k_real = math.exp(log_k) if log_k < 700.0 else math.inf
-    for x in range(0, s):
-        if q > 1e-12 and k_real != math.inf:
-            terms.append(x * log_k + (k_real - x) * math.log1p(-q))
-        else:
-            # ln(1-q) = -q to relative error q; k dominates x
-            try:
-                tail = -math.exp(log_k + log_q)
-            except OverflowError:
-                tail = -math.inf
-            terms.append(x * log_k + tail)
+    # each term is at least ln k above the one before, so a term more than
+    # -_LN_ROUNDS_TO_ZERO below the last adds exactly 0.0 to the sum
+    xs = range(max(s - 1 - int(-_LN_ROUNDS_TO_ZERO / log_k), 0) if log_k > 0.0 else 0, s)
+    if q > 1e-12 and log_k < 700.0:
+        k_real, ln_1q = math.exp(log_k), math.log1p(-q)
+        terms = [x * log_k + (k_real - x) * ln_1q for x in xs]
+    else:
+        # ln(1-q) = -q to relative error q; k dominates x
+        try:
+            tail = -math.exp(log_k + log_q)
+        except OverflowError:
+            tail = -math.inf
+        if tail == -math.inf or log_k == math.inf:
+            # k*q is past the float range, so every term is -inf (where
+            # ln k is too, x * ln k would make them nan)
+            return a_s, -math.inf
+        terms = [x * log_k + tail for x in xs]
     a_l = _ln(c) + ln_1c + 2.0 * ln_n + _logsumexp(terms)
     return a_s, a_l
 
@@ -520,6 +525,23 @@ class ExperimentConfig:
 _DEFAULT_CAPS = {"minhit_n": 24, "enum_n": 48}
 
 
+def _config_int(value, what: str) -> int:
+    """An integer config value: a bool, a number with a fractional part or
+    a non-number is a ConfigError, not the integer it would truncate to."""
+    try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: {value!r} is not an integer") from None
+
+
+def _config_ints(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what}: {values!r} is not a list of integers")
+    return tuple(_config_int(v, what) for v in values)
+
+
 def load_config(source) -> ExperimentConfig:
     """Accepts a JSON file path or an already-decoded dict."""
     import json
@@ -530,7 +552,7 @@ def load_config(source) -> ExperimentConfig:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as ex:
+        except (OSError, UnicodeDecodeError) as ex:
             raise ConfigError(f"cannot read config: {ex}") from None
         except json.JSONDecodeError as ex:
             raise ConfigError(f"config is not valid JSON: {ex}") from None
@@ -547,25 +569,23 @@ def load_config(source) -> ExperimentConfig:
     schedule = raw.get("schedule", {"mode": "auto", "s": 2, "t": 2, "k": 2})
     if not isinstance(schedule, dict):
         raise ConfigError("schedule must be an object")
+    for key in ("s", "t", "k"):
+        if key in schedule:
+            _config_int(schedule[key], f"schedule {key}")
     try:
-        for key, conv in (("s", int), ("t", int), ("k", int), ("delta", float)):
-            if key in schedule:
-                conv(schedule[key])
+        float(schedule.get("delta", 0.5))
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("schedule s, t and k must be integers and delta a number") from None
+        raise ConfigError("schedule delta must be a number") from None
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps must be an object")
-    try:
-        return ExperimentConfig(
-            families=tuple(families),
-            n_values=tuple(int(n) for n in raw.get("n_values", [])),
-            seeds=tuple(int(s) for s in raw.get("seeds", [])),
-            schedule=dict(schedule),
-            caps={**_DEFAULT_CAPS, **{key: int(v) for key, v in caps.items()}},
-        )
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("n_values, seeds and caps must hold integers") from None
+    return ExperimentConfig(
+        families=tuple(families),
+        n_values=_config_ints(raw.get("n_values", []), "n_values"),
+        seeds=_config_ints(raw.get("seeds", []), "seeds"),
+        schedule=dict(schedule),
+        caps={**_DEFAULT_CAPS, **{key: _config_int(v, f"caps {key}") for key, v in caps.items()}},
+    )
 
 
 def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, int], Graph]]:
@@ -573,10 +593,10 @@ def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, in
     kind = family.get("kind")
     if kind == "cluster":
         if "sizes" in family:
-            sizes = [int(q) for q in family["sizes"]]
+            sizes = list(_config_ints(family["sizes"], "cluster sizes"))
             label = "cluster:" + "+".join(str(q) for q in sizes)
             return label, sum(sizes), lambda n, seed: gen_cluster(sizes)
-        q = int(family.get("q", 0))
+        q = _config_int(family.get("q", 0), "cluster q")
         if q < 1:
             raise ConfigError("cluster family needs sizes or q >= 1")
 
@@ -615,13 +635,13 @@ def resolve_schedule(g: Graph, raw: dict) -> ParamSchedule:
     point, which has no concrete bins, so InfeasibleParamsError.
     """
     mode = raw.get("mode", "explicit")
-    s = int(raw.get("s", 2))
-    t = int(raw.get("t", 2))
+    s = _config_int(raw.get("s", 2), "schedule s")
+    t = _config_int(raw.get("t", 2), "schedule t")
     if mode == "asymptotic":
         report = asymptotic_schedule(g.n, s, t, float(raw.get("delta", 0.5)))
         why = "is informational only" if report.feasible else "infeasible at this n"
         raise InfeasibleParamsError(f"asymptotic schedule {why}; supply explicit bins")
-    k = int(raw.get("k", 2))
+    k = _config_int(raw.get("k", 2), "schedule k")
     if mode == "auto":
         if "delta" in raw:
             delta = float(raw["delta"])

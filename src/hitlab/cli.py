@@ -107,6 +107,8 @@ def _parse_id_list(raw: str, n: int) -> VertexSet:
 def _schedule(g: Graph, args) -> ParamSchedule:
     """The schedule `hit` and `mc-e` name by --schedule, --s, --t, --k,
     --delta and --theta."""
+    if args.schedule == "explicit" and not args.theta:
+        raise _UsageError("explicit schedule needs at least one --theta lo:hi")
     raw = {"mode": args.schedule, "s": args.s, "t": args.t, "k": args.k}
     if args.delta is not None:
         raw["delta"] = args.delta
@@ -196,8 +198,6 @@ def _cmd_mis(args) -> int:
 
 def _cmd_hit(args) -> int:
     g = _load(args)
-    if args.schedule == "explicit" and not args.theta:
-        raise _UsageError("explicit schedule needs at least one --theta lo:hi")
     sched = _schedule(g, args)
     cert = construct_hitting_set(g, sched, args.seed, allow_trivial=args.allow_trivial)
     _write_or_print(certificate_to_text(cert), args.out)
@@ -309,6 +309,16 @@ def _add_graph_arg(sub) -> None:
     sub.add_argument("--format", choices=("auto", "edge-list", "dimacs"), default="auto")
 
 
+def _add_schedule_args(sub, modes: tuple[str, ...], default: str, help_text: str | None = None) -> None:
+    """The graph and the flags `_schedule` reads, for `hit` and `mc-e`."""
+    _add_graph_arg(sub)
+    for flag in ("--s", "--t", "--k"):
+        sub.add_argument(flag, type=int, default=2)
+    sub.add_argument("--delta", type=float)
+    sub.add_argument("--theta", action="append", default=[], help="degree bin lo:hi, repeatable")
+    sub.add_argument("--schedule", choices=modes, default=default, help=help_text)
+
+
 @functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="hitlab", description=__doc__.splitlines()[0])
@@ -338,18 +348,8 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_mis)
 
     p = subs.add_parser("hit", help="construct a hitting set and print its certificate")
-    _add_graph_arg(p)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--theta", action="append", default=[], help="degree bin lo:hi, repeatable")
-    p.add_argument(
-        "--schedule",
-        choices=("explicit", "auto", "asymptotic"),
-        default="explicit",
-        help="asymptotic reports infeasibility instead of running",
-    )
+    _add_schedule_args(p, ("explicit", "auto", "asymptotic"), "explicit",
+                       "asymptotic reports infeasibility instead of running")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-trivial", action="store_true")
     p.add_argument("--out")
@@ -397,13 +397,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_prob)
 
     p = subs.add_parser("mc-e", help="Monte Carlo estimate of the residual edge count")
-    _add_graph_arg(p)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--theta", action="append", default=[])
-    p.add_argument("--schedule", choices=("explicit", "auto"), default="auto")
+    _add_schedule_args(p, ("explicit", "auto"), "auto")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_mc_e)

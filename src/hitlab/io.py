@@ -35,14 +35,22 @@ def _parse_int(tok: str, what: str, path, line_no: int) -> int:
         raise GraphFormatError(f"bad {what} {tok!r}", path=path, line=line_no) from None
 
 
-def _check_counts(n: int, m: int, where: str, path, line_no: int) -> None:
+def _read_header(n_tok: str, m_tok: str, where: str, path, line_no: int) -> tuple[int, int]:
+    """(n, m) from a header's two count tokens; `where` names the line in errors."""
+    n = _parse_int(n_tok, "vertex count", path, line_no)
+    m = _parse_int(m_tok, "edge count", path, line_no)
     if n < 0 or m < 0:
         raise GraphFormatError(f"negative count in {where} ({n} {m})", path=path, line=line_no)
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} above the ceiling {MAX_VERTICES}", path=path, line=line_no)
+    return n, m
 
 
-def _add_edge(rows: list[int], n: int, u: int, v: int, path, line_no: int) -> None:
+def _add_edge(rows: list[int], u_tok: str, v_tok: str, shift: int, path, line_no: int) -> None:
+    """Join the two vertices the tokens name; the file's ids start at `shift`."""
+    u = _parse_int(u_tok, "vertex id", path, line_no) - shift
+    v = _parse_int(v_tok, "vertex id", path, line_no) - shift
+    n = len(rows)
     if not (0 <= u < n and 0 <= v < n):
         raise VertexRangeError(
             f"vertex out of range 0..{n - 1} in edge ({u},{v})", path=path, line=line_no
@@ -53,43 +61,35 @@ def _add_edge(rows: list[int], n: int, u: int, v: int, path, line_no: int) -> No
     rows[v] |= 1 << u
 
 
+def _finish(rows: list[int], m: Optional[int], seen_edges: int, missing: str, where: str, path) -> Graph:
+    """The graph once the input ends: `m` is None when no header was read."""
+    if m is None:
+        raise GraphFormatError(missing, path=path)
+    if seen_edges != m:
+        raise GraphFormatError(f"{where} declared {m} edges but file has {seen_edges}", path=path)
+    return Graph(len(rows), tuple(rows))
+
+
 def parse_edge_list(text: str, path: Optional[str] = None) -> Graph:
     """Parse edge-list text; `path` only labels error messages."""
-    header: Optional[tuple[int, int]] = None
+    m: Optional[int] = None
     rows: list[int] = []
-    n = 0
     seen_edges = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
-        if header is None:
-            if len(toks) != 2:
-                raise GraphFormatError(
-                    f"header must be 'n m', got {raw.strip()!r}", path=path, line=line_no
-                )
-            n = _parse_int(toks[0], "vertex count", path, line_no)
-            m = _parse_int(toks[1], "edge count", path, line_no)
-            _check_counts(n, m, "header", path, line_no)
-            header = (n, m)
-            rows = [0] * n
-            continue
         if len(toks) != 2:
-            raise GraphFormatError(
-                f"edge line must be 'u v', got {raw.strip()!r}", path=path, line=line_no
-            )
-        u = _parse_int(toks[0], "vertex id", path, line_no)
-        v = _parse_int(toks[1], "vertex id", path, line_no)
-        _add_edge(rows, n, u, v, path, line_no)
-        seen_edges += 1
-    if header is None:
-        raise GraphFormatError("empty input, expected 'n m' header", path=path)
-    if seen_edges != header[1]:
-        raise GraphFormatError(
-            f"header declared {header[1]} edges but file has {seen_edges}", path=path
-        )
-    return Graph(n, tuple(rows))
+            what = "header must be 'n m'" if m is None else "edge line must be 'u v'"
+            raise GraphFormatError(f"{what}, got {raw.strip()!r}", path=path, line=line_no)
+        if m is None:
+            n, m = _read_header(toks[0], toks[1], "header", path, line_no)
+            rows = [0] * n
+        else:
+            _add_edge(rows, toks[0], toks[1], 0, path, line_no)
+            seen_edges += 1
+    return _finish(rows, m, seen_edges, "empty input, expected 'n m' header", "header", path)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -101,9 +101,8 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_dimacs(text: str, path: Optional[str] = None) -> Graph:
     """Parse DIMACS 'p edge' text; vertex ids are shifted to 0-indexed."""
-    header: Optional[tuple[int, int]] = None
+    m: Optional[int] = None
     rows: list[int] = []
-    n = 0
     seen_edges = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -111,7 +110,7 @@ def parse_dimacs(text: str, path: Optional[str] = None) -> Graph:
             continue
         toks = line.split()
         if toks[0] == "p":
-            if header is not None:
+            if m is not None:
                 raise GraphFormatError("duplicate problem line", path=path, line=line_no)
             if len(toks) != 4 or toks[1] != "edge":
                 raise GraphFormatError(
@@ -119,13 +118,10 @@ def parse_dimacs(text: str, path: Optional[str] = None) -> Graph:
                     path=path,
                     line=line_no,
                 )
-            n = _parse_int(toks[2], "vertex count", path, line_no)
-            m = _parse_int(toks[3], "edge count", path, line_no)
-            _check_counts(n, m, "problem line", path, line_no)
-            header = (n, m)
+            n, m = _read_header(toks[2], toks[3], "problem line", path, line_no)
             rows = [0] * n
         elif toks[0] == "e":
-            if header is None:
+            if m is None:
                 raise GraphFormatError(
                     "edge line before problem line", path=path, line=line_no
                 )
@@ -135,22 +131,13 @@ def parse_dimacs(text: str, path: Optional[str] = None) -> Graph:
                     path=path,
                     line=line_no,
                 )
-            u = _parse_int(toks[1], "vertex id", path, line_no) - 1
-            v = _parse_int(toks[2], "vertex id", path, line_no) - 1
-            _add_edge(rows, n, u, v, path, line_no)
+            _add_edge(rows, toks[1], toks[2], 1, path, line_no)
             seen_edges += 1
         else:
             raise GraphFormatError(
                 f"unknown line type {toks[0]!r}", path=path, line=line_no
             )
-    if header is None:
-        raise GraphFormatError("missing 'p edge n m' line", path=path)
-    if seen_edges != header[1]:
-        raise GraphFormatError(
-            f"problem line declared {header[1]} edges but file has {seen_edges}",
-            path=path,
-        )
-    return Graph(n, tuple(rows))
+    return _finish(rows, m, seen_edges, "missing 'p edge n m' line", "problem line", path)
 
 
 def format_dimacs(g: Graph) -> str:

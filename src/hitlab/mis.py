@@ -3,25 +3,27 @@
 Four searches, each answering one question.  The value search
 `_alpha(adj, pool, floor, goal)` returns alpha(pool) and the decision
 search `has_independent(adj, pool, target)` is built on it (targets up
-to 2 need no search); since only a number leaves them, they peel pool
-vertices of degree at most 1 (always at the root; below it only where it
-pays, see below), stop at once when the greedy set meets the goal or the
-id-order clique cover (which also caps the goal), and otherwise relabel
-by degree and branch in colour order (MCS on the complement) from an
-explicit stack, so no input size meets the recursion limit, skipping the
-branch vertices that unit propagation over the colour classes rules out.
-The witness walk `_max_independent` peels with `_peel`, then branches,
-and so returns the maximum independent set a frozen branch and bound
-reaches first, which certificates and the CLI's `witness:` line pin.
-kernel decides "t meets every maximum independent set" by alpha(G - t) <
-alpha(G) with the decision search at any n, and asks nothing for a
-witness vertex that a neighbour can replace.  The canonical walk
-`_independent_sets(adj, pool, size)` yields every independent `size`-set
-of a pool in canonical order and opens a node only when the decision
-search says it holds a set: first_missed, the minimum hitting set's
-oracle, hitting.build_K, graph.find_induced_kst and drc's freeness scan
-take its first set, and enumerate_mis (below a cap) and count_mis (in
-O(n) memory) run it out.
+to 2 need no search).  The witness walk `_max_independent` returns the
+maximum independent set a frozen branch and bound reaches first, which
+certificates and the CLI's `witness:` line pin.  kernel decides "t meets
+every maximum independent set" by alpha(G - t) < alpha(G) with the
+decision search at any n, and asks nothing for a witness vertex that a
+neighbour can replace.  The canonical walk `_independent_sets(adj, pool,
+size)` yields every independent `size`-set of a pool in canonical order
+and opens a node only when the decision search says it holds a set:
+first_missed, the minimum hitting set's oracle, hitting.build_K,
+graph.find_induced_kst and drc's freeness scan take its first set, and
+enumerate_mis (below a cap) and count_mis (in O(n) memory) run it out.
+
+The value search: since only a number leaves it, it is free to pick its
+own order.  It peels pool vertices of degree at most 1 (always at the
+root; below it only where it pays), stops at once when the greedy set
+meets the goal or the id-order clique cover (which also caps the goal),
+and otherwise relabels by degree and branches in colour order (MCS on
+the complement) from an explicit stack, so no input size meets the
+recursion limit, skipping the branch vertices that unit propagation over
+the colour classes rules out.  The sections below say why each step is
+sound and where it pays.
 
 Why the witness walk reproduces the frozen search: that search keeps its
 greedy incumbent unless a leaf is strictly larger, so its answer is the
@@ -32,37 +34,27 @@ leaf of size alpha in depth-first order.  Its forced inclusions are
 split the pool's independent sets, so the include subtree holds a leaf
 of size alpha iff the include pool holds an independent set of the
 remaining size.  The witness walk asks the decision search exactly that
-at each branch vertex and goes straight to that leaf.  The greedy
-incumbent keeps pool degrees in buckets and the clique cover is built
-one clique at a time; both give what a full rescan and a first-fit cover
-would (the test suite keeps those plain versions and the frozen search
-as references).
+at each branch vertex and goes straight to that leaf.  `_greedy_mis`
+and `_clique_cover_bound` give what a greedy that rescans every degree
+and a first-fit clique cover would; the test suite keeps those plain
+versions and the frozen search as references.
 
 Why the value search may skip vertices (the MaxSAT bound of Li and Quan,
 AAAI 2010, in independent-set form): at a node with size members taken
 and incumbent best, let kmin = best - size.  The colour classes are
 cliques of G, so an independent set holds at most one vertex of each;
 the first kmin classes are live.  A vertex p of a later class is forced
-and propagated against the live classes: each forced vertex removes its
-neighbours from every live class, and a class left with one vertex
-forces it (first in, first out).  Each class records the classes whose
-forced vertices removed something from it.  If a class is left empty,
-the reason R is that class plus every class its record reaches, directly
-or through the records of those classes.  By induction in forcing order,
-an independent set that holds p and meets every class of R but the
-emptied one holds each of their forced vertices and so misses the
-emptied class; hence p and R's classes together hold at most |R| members
-of any independent set (`_refuted` spells this out).  R leaves the live
-set, so reason sets are disjoint, and the live classes left plus the
-skipped vertices hold at most kmin members of any independent set.  Only
-the classes the conflict used leave, so more stay live for the next
-vertex: on C4-free, cubic and sparse gnp graphs the search visits a
-sixth to a half of the nodes it did when every class that became unit
-left and propagation went last in, first out.  The kept vertices
-b_1..b_r, in colour order, are branched from b_r down: when b_j is
-branched on, the pool is those vertices plus b_1..b_j, so its subtree is
-bounded by kmin + j.  The test suite keeps the colour-only search as a
-reference.
+and propagated against the live classes; if a class is left empty, p and
+the classes of the conflict's reason R together hold at most |R| members
+of any independent set (`_refuted` has the rule and the proof).  R
+leaves the live set, so reason sets are disjoint, and the live classes
+left plus the skipped vertices hold at most kmin members of any
+independent set.  Only the classes the conflict used leave, not every
+class that became unit, so more stay live for the next vertex.  The kept
+vertices b_1..b_r, in colour order, are branched from b_r down: when b_j
+is branched on, the pool is those vertices plus b_1..b_j, so its subtree
+is bounded by kmin + j.  The test suite keeps the colour-only search as
+a reference.
 
 Why the live classes close triangles: the argument above needs only that
 the classes are disjoint cliques, so any clique partition keeps the
@@ -70,29 +62,25 @@ bound sound.  Its strength is in the cliques: no clique of a C4-free
 graph has more than three vertices, and a class of three holds at most
 one member of an independent set where a class of two leaves the third
 vertex to be kept or refuted.  Grown by lowest common neighbours from its
-lowest vertex v, a class takes v's lowest neighbour even when only a
-later one closes a triangle: over one construct-large pass only 12,075
-of 68,290 live classes were triangles.  So a live class takes as its
-second vertex the lowest neighbour of v left in the pool that shares a
-neighbour with v there, and the lowest neighbour when none does: 13,617
-of 48,671 live classes are then triangles, and the pass visits 2,483
-nodes, not 3,434.  The later classes, whose vertices are tested, keep the
-plain rule.  A node looks past v's lowest neighbour only when that one
-closes no triangle and two more are left, and then only at v's
-neighbours that share a neighbour with v in the root pool.  Those are
-computed the first time a node needs them for v and kept for the search.
-Computing them for every vertex at the root costs O(m) per search: split
-and interval graphs at n = 1000, whose searches end at the root, then
-took 53 % and 30 % longer than with lowest-neighbour classes, and one
-construct-large pass 5 % longer than when they are filled lazily.
+lowest vertex v, a class would take v's lowest neighbour even when only
+a later one closes a triangle.  So a live class takes as its second
+vertex the lowest neighbour of v left in the pool that shares a
+neighbour with v there (the lowest neighbour when none does), then grows
+by lowest common neighbours.  The later classes, whose vertices are
+tested, keep the plain rule.  A node looks past v's lowest neighbour
+only when that one closes no triangle and two more are left, and then
+only at v's neighbours that share a neighbour with v in the root pool
+(`_triangle_mates`).  Those are computed the first time a node needs
+them for v and kept for the search: computing them for every vertex at
+the root would cost O(m) per search, which searches that end at the
+root, as on split and interval graphs, never repay.
 
 The clique cover caps every search: it is taken after the greedy set
 whether or not that beats the floor, so a decision at floor alpha ends
 at the root wherever the id-order cover is alpha.  So it is on the line
 graph of a bipartite graph with a perfect matching, its edges listed by
 left endpoint, where the cliques of edges at each left endpoint are the
-cover.  Without the cap, the decision at alpha + 1 branches: 0.18 s on
-three random perfect matchings of K_{40,40}, and minutes at K_{60,60}.
+cover; without the cap, the decision at alpha + 1 branches there.
 
 Where the value search peels: the root peels the whole pool.  Below it,
 a node knows its dirty vertices, the pool vertices that lost a
@@ -103,37 +91,33 @@ vertices are at most half its pool, and then scans only them, which
 takes what a full rescan would; otherwise it passes them on to its
 children.  On dense pools, such as the C4-free process graphs', nearly
 every branch dirties most of the pool, so a scan would cost about a full
-rescan (over a quarter of the search's time there), and the colour
-bound already refutes what a peel would take: there no node below the
-root peels.  On sparse pools (random cubic graphs, gnp at p = 3/n) a
-branch dirties a few vertices and frees a chain of degree-1 ones, so
-the short scan runs at nearly every node; without it a random cubic
-graph at n = 160 takes over four times as long.  A child's dirty
-vertices include those it inherits, so a child that inherits more than
-half its pool as dirty cannot peel: it counts its whole pool as dirty
-(so its subtree peels no more) and skips collecting what its include
-removed.  On the C4-free, cubic and gnp graphs above, that shortcut
-left the node counts as they were.
+rescan, and the colour bound already refutes what a peel would take:
+there no node below the root peels.  On sparse pools (random cubic
+graphs, gnp at p = 3/n) a branch dirties a few vertices and frees a
+chain of degree-1 ones, so the short scan runs at nearly every node.  A
+child's dirty vertices include those it inherits, so a child that
+inherits more than half its pool as dirty cannot peel: it counts its
+whole pool as dirty (so its subtree peels no more) and skips collecting
+what its include removed.
 
 Why the value search has a second incumbent: a search that starts below
-alpha spends much of its time on sets the optimum would have pruned.  On
-the 7 construct-large graphs where the greedy set falls short, the search
-takes about 40 ms from the greedy set and 21 ms from alpha.  Min-degree
-greedy with ties broken toward the candidate whose pool neighbours have
-the largest sum of pool degrees reaches alpha on 12 of the 13
-construct-large graphs, the first greedy on 6.  Its tie scan costs tens
-of microseconds a call on those graphs, but |pool|^2 on pools of many
-equal degrees (0.2 s on 400 disjoint C5, whose whole search takes 7 ms).
-So it runs only in a value search (goal - best > 1) whose root keeps at
-least two branch vertices under the first incumbent: large structured
-graphs (interval, long cycles, disjoint unions) keep 0 or 1 there, and
-the C4-free, cubic and gnp graphs 10 to 46.  It runs on the original
-ids, where it found larger sets than on the relabelled rows.  The witness
-walk keeps the first greedy for its own rule, since the frozen tree
-starts from it, so every witness stays as it was; the value search that
-gives the walk alpha may use the second, since only the number leaves
-it.  Decision searches keep one greedy: the second there made the
-certify benchmark's round about 6 % slower.
+alpha spends much of its time on sets the optimum would have pruned.
+Min-degree greedy with ties broken toward the candidate whose pool
+neighbours have the largest sum of pool degrees reaches alpha on 12 of
+the 13 construct-large graphs, the first greedy on 6.  Its tie scan
+costs tens of microseconds a call on those graphs, but |pool|^2 on pools
+of many equal degrees, such as disjoint C5s, where it would cost many
+times the whole search.  So it runs only in a value search (goal - best
+> 1) whose root keeps at least two branch vertices under the first
+incumbent; if it is larger, it raises best and the root's branch list is
+taken again.  Large structured graphs (interval, long cycles, disjoint
+unions) keep 0 or 1 there, and the C4-free, cubic and gnp graphs 10 to
+46.  It runs on the original ids, where it finds larger sets than on
+the relabelled rows.  The witness walk keeps the first greedy for its
+own rule, since the frozen tree starts from it, so every witness stays
+as it was; the value search that gives the walk alpha may use the
+second, since only the number leaves it.  Decision searches keep one
+greedy: there the second costs more than it saves.
 """
 
 from __future__ import annotations
@@ -164,18 +148,9 @@ class MisFamily:
         return len(self.sets)
 
 
-def _greedy_mis(adj, pool: int, tied: bool = False) -> int:
-    """Min-degree-first greedy independent set; the initial incumbent.
-
-    Takes the vertex of least pool degree, smallest id on ties.  With
-    `tied`, ties go first to the candidate whose pool neighbours have the
-    largest sum of pool degrees (the value search's second incumbent,
-    see `_alpha`).  Pool degrees sit in buckets (bitmask per degree) and
-    only the pool neighbours of the vertices a pick removes are
-    rebucketed, so the work is bounded by the edges inside the pool, not
-    |pool|^2; the tie scan over the least bucket is not, and costs
-    |pool|^2 on a pool of equal degrees.
-    """
+def _pool_degrees(adj, pool: int) -> tuple[list[int], list[int]]:
+    """(deg, buckets): deg[v] is v's pool degree for each pool vertex v,
+    and buckets[d] the bitmask of the pool vertices of degree d."""
     deg = [0] * len(adj)
     buckets = [0] * pool.bit_count()
     m = pool
@@ -183,9 +158,22 @@ def _greedy_mis(adj, pool: int, tied: bool = False) -> int:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        d = (adj[v] & pool).bit_count()
-        deg[v] = d
+        deg[v] = d = (adj[v] & pool).bit_count()
         buckets[d] |= low
+    return deg, buckets
+
+
+def _greedy_mis(adj, pool: int, tied: bool = False) -> int:
+    """Min-degree-first greedy independent set; the initial incumbent.
+
+    Takes the vertex of least pool degree, smallest id on ties.  With
+    `tied`, ties go first to the candidate whose pool neighbours have the
+    largest sum of pool degrees (the value search's second incumbent; the
+    module docstring says when it runs).  Only the pool neighbours of the
+    vertices a pick removes are rebucketed, so the work outside the tie
+    scan is bounded by the edges inside the pool, not |pool|^2.
+    """
+    deg, buckets = _pool_degrees(adj, pool)
     acc, lo = 0, 0
     while pool:
         while not buckets[lo]:
@@ -283,15 +271,7 @@ def _relabel(adj, pool: int) -> list[int]:
     """Rows of the pool renumbered 0..k-1: the vertex of largest degree
     among those not yet removed is removed next (smallest id on ties),
     and the first removed gets the highest number."""
-    deg = [0] * len(adj)
-    buckets = [0] * pool.bit_count()
-    m = pool
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        deg[v] = d = (adj[v] & pool).bit_count()
-        buckets[d] |= low
+    deg, buckets = _pool_degrees(adj, pool)
     order, rest, hi = [], pool, len(buckets) - 1
     while rest:
         while not buckets[hi]:
@@ -389,29 +369,21 @@ def _triangle_mates(rows, v: int) -> int:
     return reach & row
 
 
-def _branch_vertices(rows, pool: int, kmin: int, colour: Optional[list[int]] = None,
-                     tri: Optional[list[Optional[int]]] = None) -> list[tuple[int, int]]:
+def _branch_vertices(rows, pool: int, kmin: int, colour: list[int],
+                     tri: list[Optional[int]]) -> list[tuple[int, int]]:
     """(bit, bound) of the vertices a node branches on, in colour order,
     when its pool must hold more than kmin members to beat the incumbent:
     the pool less the kept vertices after the j-th holds at most its
     bound, kmin + j, members of any independent set.
 
-    The first kmin colour classes are live.  Each starts at the lowest
-    vertex v left, takes as its second vertex the lowest neighbour of v
-    left that shares a neighbour with v there, so that the class is a
-    triangle (the lowest neighbour when none does), and grows by lowest
-    common neighbours; any clique partition keeps the bound sound (the
-    module docstring has the argument).  A vertex of a later class is
-    kept unless `_refuted` finds a conflict, whose reason then leaves the
-    live set.  `colour` is working space of len(rows) entries and `tri[v]`
-    caches `_triangle_mates(rows, v)`, filled the first time a class
-    started at v looks past v's lowest neighbour; `_alpha` allocates both
-    once for all its nodes.
+    The first kmin colour classes are live and close a triangle where
+    they can; a vertex of a later class is kept unless `_refuted` finds a
+    conflict, whose reason then leaves the live set (the module docstring
+    has the rules and the argument).  `colour` is working space of
+    len(rows) entries and `tri[v]` caches `_triangle_mates(rows, v)`,
+    filled the first time a class started at v looks past v's lowest
+    neighbour; `_alpha` allocates both once for all its nodes.
     """
-    if colour is None:
-        colour = [0] * len(rows)
-    if tri is None:
-        tri = [None] * len(rows)
     live, count, rest = [], 0, pool
     while rest and count < kmin:
         low = rest & -rest
@@ -466,30 +438,10 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
     """alpha(pool) when it lies above floor and below goal; floor when
     alpha(pool) <= floor; some value in goal..alpha(pool) otherwise.
 
-    The greedy set is the first incumbent and ends the search when it
-    reaches goal or the id-order clique cover, which otherwise caps
-    goal.  Then a colour-ordered branch and bound (MCS in complement
-    form) over the relabelled pool: the colour classes are cliques built
-    from the lowest vertex left, and the first kmin = best - size of
-    them are live and close a triangle where their start has one left
-    (`tri` keeps each start's candidates, filled lazily; the module
-    docstring says why).  A vertex of a later class is skipped when unit
-    propagation against the live classes ends in a conflict; the classes
-    the conflict used (the reason) then leave the live set, so reason
-    sets stay disjoint.  The kept vertices are branched on last first,
-    the j-th under the bound kmin + j (`_branch_vertices`; the module
-    docstring has the argument).  Only the number leaves, so the search
-    is free to pick its own order.  Nodes sit on an explicit stack, so
-    deep searches need no recursion.  The pool is peeled in full before
-    the greedy set; a node below peels only its dirty vertices, and only
-    when they are at most half its pool (the module docstring says why).
-
-    A value search (goal - best > 1) whose root keeps at least two branch
-    vertices first tries a second incumbent, the greedy set with ties
-    broken by the neighbours' degrees; if it is larger, it raises best
-    and the root's branch list is taken again.  Decision searches never
-    run it, and the witness walk takes its own path from the first
-    greedy set (the module docstring says why).
+    The module docstring describes the search and why each step is
+    sound: the root peels, tries the greedy set and caps goal by the
+    clique cover, then a colour-ordered branch and bound runs over the
+    relabelled pool from an explicit stack.
     """
     taken, pool = _peel(adj, pool)
     taken = taken.bit_count()

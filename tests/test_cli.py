@@ -510,6 +510,22 @@ class TestSchedule:
         assert (code, out) == (2, "")
         assert err == "error:precondition: c must lie in (0,1], got 0.0\n"
 
+    def test_bins_past_the_float_range_read_minus_inf(self, capsys):
+        # from bin 105, ln k is past the float range and so is k*q: the bound
+        # is -inf, not the nan of 0 * inf or inf - inf
+        code, out, _ = cli(capsys, "schedule", "--n", "1000", "--s", "3", "--t", "3", "--delta", "0.01")
+        assert code == 0 and "nan" not in out
+        large = [line.rsplit("=", 1)[1] for line in out.splitlines() if "log_bound_large=" in line]
+        assert len(large) == 200 and set(large[104:]) == {"-inf"}
+
+    def test_a_huge_s_takes_only_the_terms_that_count(self):
+        # only the terms within float reach of a bin's last one are summed;
+        # all 10^11 of them, about 0.55 us each, would take days
+        run = python_dash_m("hitlab", "schedule", "--n", "3", "--s", "100000000000", "--t", "100000000000",
+                            timeout=2)
+        assert run.returncode == 0 and run.stderr == ""
+        assert "bin 4: log_bound_small=" in run.stdout
+
     def test_reports_keep_their_bytes(self, capsys):
         blocks = SCHEDULE_REPORTS.read_text(encoding="utf-8").split("$ hitlab ")[1:]
         assert len(blocks) == 12
@@ -596,6 +612,10 @@ class TestMcE:
         assert runs[0] == runs[1] and runs[0][0] == 0 and len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_explicit_needs_theta(self, capsys, c5_path):
+        code, _, err = cli(capsys, "mc-e", "--graph", c5_path, "--schedule", "explicit")
+        assert (code, err) == (1, "error:usage: explicit schedule needs at least one --theta lo:hi\n")
 
     def test_k_must_fit_alpha(self, capsys, c5_path):
         code, _, err = cli(capsys, "mc-e", "--graph", c5_path, "--k", "3")
@@ -701,6 +721,16 @@ def _cert_with(key, value):
         (["experiment", "--config", "{dir}/x.json"],
          {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "k": "x", "bins": [[1, 2]]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": [1e999]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": b'\xff\xfe{}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"seeds": [1.5]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"seeds": [true]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": [5.7]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"enum_n": 1.9}}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"mode": "auto", "s": 2.5}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "q": 2.7}]}'}),
+        (["experiment", "--config", "{dir}/x.json"],
+         {"x.json": '{"families": [{"kind": "cluster", "sizes": [3.9, 3]}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "sizes": "33"}]}'}),
         (["hit", "--graph", "{dir}/c7.el", "--schedule", "auto", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["mc-e", "--graph", "{dir}/c7.el", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["schedule", "--n", "100", "--delta", "1e-8"], {}),
@@ -721,6 +751,8 @@ def _cert_with(key, value):
         "n-values-not-int", "cap-not-int", "caps-not-object",
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
+        "config-not-utf-8", "seeds-fractional", "seeds-boolean", "n-values-fractional", "cap-fractional",
+        "schedule-s-fractional", "cluster-q-fractional", "cluster-sizes-fractional", "cluster-sizes-string",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
         "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs", "hit-h-over-digit-limit",
         "hit-h-astronomical", "prob-i-size-above-the-ceiling",
@@ -728,7 +760,10 @@ def _cert_with(key, value):
 )
 def test_bad_input_exits_with_an_error_kind(capsys, tmp_path, c5_path, argv, files):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     argv = [arg.format(c5=c5_path, dir=tmp_path) for arg in argv]
     with address_space_cap():
         code, _, err = cli(capsys, *argv)

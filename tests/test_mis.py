@@ -581,7 +581,7 @@ def test_every_kept_prefix_holds_its_bound(refutations):
         full = (1 << g.n) - 1
         for pool in (full, rng.getrandbits(g.n) | rng.getrandbits(g.n)):
             for kmin in range(ref_clique_cover_bound(g.adj, pool) + 1):
-                branch = _branch_vertices(g.adj, pool, kmin)
+                branch = _branch_vertices(g.adj, pool, kmin, [0] * g.n, [None] * g.n)
                 rest = pool
                 for j in range(len(branch), 0, -1):
                     low, bound = branch[j - 1]
@@ -637,7 +637,7 @@ def test_a_live_class_closes_a_triangle_past_its_lowest_neighbour(live_classes):
     # 0's lowest neighbour 1 shares no neighbour with it, but 2 closes the
     # triangle 0-2-3; the plain lowest-neighbour rule would build {0, 1}
     g = Graph.from_edges(5, [(0, 1), (1, 4), (0, 2), (0, 3), (2, 3)])
-    _branch_vertices(g.adj, (1 << g.n) - 1, 1)
+    _branch_vertices(g.adj, (1 << g.n) - 1, 1, [0] * g.n, [None] * g.n)
     assert live_classes
     assert all(live[0] == 0b1101 for _, live in live_classes)
 
