@@ -11,11 +11,12 @@ Everything is deterministic: each experiment cell runs on a seed the
 config lists, each Monte Carlo trial on a seed derived from the master
 seed by hashing, and results keep cell and trial order.
 
-Importing this module loads neither hashlib nor fractions, json, signal or
-array: each is imported by the functions that use it.  hashlib maps
-OpenSSL, so the first Monte Carlo call in a process pays that import once,
-about 3.5-5.5 ms on a 2-vCPU host, and a process that never runs Monte Carlo
-never maps it.
+Importing this module loads neither _blake2 nor fractions, json, signal or
+array: each is imported by the functions that use it.  The trial seeds
+hash with _blake2, CPython's built-in BLAKE2 (the same blake2b that
+hashlib re-exports), so no hitlab process imports hashlib, whose import
+maps OpenSSL's libcrypto; hashlib is the fallback for an interpreter that
+has no _blake2 module.
 """
 
 from __future__ import annotations
@@ -73,9 +74,13 @@ CSV_SCHEMA = "1"
 def _seed_prefix(master: int, label: str):
     """The hash of derive_seed's "{master}:{label}:" prefix; a stream's
     seeds are its copies with the index appended."""
-    import hashlib  # here, not at the top: it loads OpenSSL, which only Monte Carlo needs
+    # _blake2 is the blake2b hashlib re-exports, without hashlib's OpenSSL
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
-    return hashlib.blake2b(f"{master}:{label}:".encode(), digest_size=8)
+    return blake2b(f"{master}:{label}:".encode(), digest_size=8)
 
 
 def _seed_at(prefix, index: int) -> int:

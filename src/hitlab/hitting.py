@@ -171,7 +171,10 @@ def asymptotic_schedule(n: int, s: int, t: int, delta: float) -> AsymptoticSched
         raise PreconditionError(f"need 1 <= s <= t, got s={s}, t={t}")
     ln_n = math.log(n)
     ln_ln = math.log(ln_n)
-    base = float(10 * s)
+    try:
+        base = float(10 * s)
+    except OverflowError:  # s past the float range: saturate, as _pow_or_inf does
+        base = math.inf
     log_bins = []
     log_ks = []
     feasible = True

@@ -526,6 +526,16 @@ class TestSchedule:
         assert run.returncode == 0 and run.stderr == ""
         assert "bin 4: log_bound_small=" in run.stdout
 
+    def test_an_s_past_the_float_range_saturates(self):
+        # 10*s does not fit a float: the base of the powers is inf, as the
+        # powers themselves become once they leave the float range
+        s = "1" + "0" * 400
+        run = python_dash_m("hitlab", "schedule", "--n", "3", "--s", s, "--t", s, timeout=2)
+        assert run.returncode == 0 and run.stderr == ""
+        assert "feasible: false" in run.stdout.splitlines()
+        bins = [line for line in run.stdout.splitlines() if "log_k=" in line]
+        assert bins == [f"bin {j}: log_k=inf log_lo=-inf log_hi=-inf" for j in range(1, 5)]
+
     def test_reports_keep_their_bytes(self, capsys):
         blocks = SCHEDULE_REPORTS.read_text(encoding="utf-8").split("$ hitlab ")[1:]
         assert len(blocks) == 12

@@ -1,5 +1,6 @@
-"""Every name a hitlab module imports is used in that module, and importing
-hitlab loads no module that only some calls need.
+"""Every name a hitlab module imports is used in that module, importing
+hitlab loads no module that only some calls need, and the Monte Carlo
+seeds hash with CPython's built-in BLAKE2b, so no call loads OpenSSL.
 
 The one exception is a name the traced benchmark wraps: a module may
 import a layer only so that `bench/run.py --trace 1` sees the calls made
@@ -8,10 +9,16 @@ WRAPS.  `__init__` re-exports names and is not checked.
 """
 
 import ast
+import hashlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from hitlab.analysis import derive_seed, resolve_schedule
+from hitlab.graph import gen_c4_free_process
+from hitlab.mis import alpha_with_witness
+from helpers import ref_monte_carlo_e
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hitlab"
@@ -63,11 +70,12 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-# modules a hitlab import leaves to the first call that needs them: hashlib
-# loads OpenSSL for Monte Carlo seeds alone, fractions (and through it
-# decimal) serves the exact audits, json the config reader, signal and array
-# the Monte Carlo fork helpers
-DEFERRED = ("hashlib", "_hashlib", "fractions", "decimal", "json", "signal", "array")
+# modules a hitlab import leaves to the first call that needs them: _blake2
+# hashes the Monte Carlo seeds alone, fractions (and through it decimal)
+# serves the exact audits, json the config reader, signal and array the
+# Monte Carlo fork helpers; no hitlab call loads hashlib or its _hashlib,
+# whose import maps OpenSSL
+DEFERRED = ("hashlib", "_hashlib", "_blake2", "fractions", "decimal", "json", "signal", "array")
 
 
 def run_bare(code: str) -> str:
@@ -81,11 +89,59 @@ def run_bare(code: str) -> str:
     return out.stdout
 
 
+def blake2b_seed(master: int, index: int, label: str) -> int:
+    """derive_seed's definition: the 8-byte BLAKE2b of "master:label:index"."""
+    digest = hashlib.blake2b(f"{master}:{label}:{index}".encode(), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
+
+
 def test_import_leaves_the_deferred_modules_unloaded():
     code = f"import hitlab, hitlab.cli; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
     assert run_bare(code) == "[]\n"
 
 
-def test_seeds_are_unchanged_when_hashlib_loads_on_first_use():
-    code = "from hitlab.analysis import derive_seed; print(derive_seed(7, 0, 'mc-e'), 'hashlib' in sys.modules)"
-    assert run_bare(code) == "7035547813488187649 True\n"
+def test_monte_carlo_split_over_two_cpus_loads_no_hashlib():
+    # C4-free n = 40 with 78 edges, graph seed 0, s = t = k = 2; 3,000 trials
+    # on two CPUs: this process runs trials 0-1499 and one forked child the rest
+    code = (
+        "import os\n"
+        "from hitlab import analysis\n"
+        "from hitlab.graph import gen_c4_free_process\n"
+        "from hitlab.mis import alpha_with_witness\n"
+        "g = gen_c4_free_process(40, 78, 0)\n"
+        "sched = analysis.resolve_schedule(g, {'mode': 'auto', 's': 2, 't': 2, 'k': 2})\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+        "analysis._cpus = lambda: 2\n"
+        "est = analysis.monte_carlo_e(g, alpha_with_witness(g)[1], sched, 3000, 5)\n"
+        "seeds = [analysis.derive_seed(5, i, 'mc-e') for i in (0, 1499, 1500, 2999)]\n"
+        "print(repr((len(forks), seeds, est.samples, sorted({'hashlib', '_hashlib'} & set(sys.modules)))))\n"
+    )
+    forks, seeds, samples, loaded = ast.literal_eval(run_bare(code))
+    g = gen_c4_free_process(40, 78, 0)
+    sched = resolve_schedule(g, {"mode": "auto", "s": 2, "t": 2, "k": 2})
+    assert forks == 1 and loaded == []
+    assert seeds == [blake2b_seed(5, i, "mc-e") for i in (0, 1499, 1500, 2999)]
+    assert samples == ref_monte_carlo_e(g, alpha_with_witness(g)[1], sched, 3000, 5)
+
+
+def test_seeds_are_hashlibs_blake2b():
+    masters = (-(2**70), -1, 0, 7, 2**64 - 1, 2**64, 2**64 + 1, 3**90)
+    labels = ("", "mc-e", "cell", "a:b", "\u03b4-\u65b9")  # the last is not ASCII
+    for master in masters:
+        for label in labels:
+            for index in (0, 1, 10, 2999, 2**64):
+                assert derive_seed(master, index, label) == blake2b_seed(master, index, label)
+
+
+def test_seeds_fall_back_to_hashlib_without_the_builtin_module():
+    # CPython's hashlib takes its blake2b from _blake2 as well, so hashlib is
+    # imported before _blake2 is blocked: the hashlib of an interpreter that
+    # has no _blake2 module and gets blake2b elsewhere
+    code = (
+        "import hashlib; sys.modules['_blake2'] = None\n"
+        "from hitlab.analysis import derive_seed\n"
+        "print(derive_seed(0, 0, ''), derive_seed(0, 1, ''), derive_seed(7, 0, 'mc-e'))\n"
+    )
+    assert run_bare(code) == "9716340883820303696 7052812484153736359 7035547813488187649\n"
