@@ -15,8 +15,7 @@ Importing this module loads neither _blake2 nor fractions, json, signal or
 array: each is imported by the functions that use it.  The trial seeds
 hash with _blake2, CPython's built-in BLAKE2 (the same blake2b that
 hashlib re-exports), so no hitlab process imports hashlib, whose import
-maps OpenSSL's libcrypto; hashlib is the fallback for an interpreter that
-has no _blake2 module.
+maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -75,10 +74,7 @@ def _seed_prefix(master: int, label: str):
     """The hash of derive_seed's "{master}:{label}:" prefix; a stream's
     seeds are its copies with the index appended."""
     # _blake2 is the blake2b hashlib re-exports, without hashlib's OpenSSL
-    try:
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
+    from _blake2 import blake2b
 
     return blake2b(f"{master}:{label}:".encode(), digest_size=8)
 
@@ -370,7 +366,7 @@ def monte_carlo_e(
 
 
 # A fork, exit and reap of a 21-22 MB interpreter costs 2.4-3.3 ms on a
-# 2-CPU host and a trial about 11 us, so a process pays for itself from
+# 2-CPU host and a trial about 8 us, so a process pays for itself from
 # several hundred trials on.  mc-e's default of 100 trials stays in one
 # process.
 _MIN_TRIALS_PER_PROCESS = 1000

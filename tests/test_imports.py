@@ -17,6 +17,7 @@ from pathlib import Path
 
 from hitlab.analysis import derive_seed, resolve_schedule
 from hitlab.graph import gen_c4_free_process
+from hitlab.io import save_graph
 from hitlab.mis import alpha_with_witness
 from helpers import ref_monte_carlo_e
 
@@ -126,6 +127,19 @@ def test_monte_carlo_split_over_two_cpus_loads_no_hashlib():
     assert samples == ref_monte_carlo_e(g, alpha_with_witness(g)[1], sched, 3000, 5)
 
 
+def test_mc_e_command_loads_no_hashlib(tmp_path):
+    # the CLI path on the same graph: `hitlab mc-e` prints its estimate, and
+    # the last line says which of hashlib and _hashlib the run loaded
+    graph = tmp_path / "c4free40.el"
+    save_graph(gen_c4_free_process(40, 78, 0), str(graph))
+    code = (
+        "from hitlab import cli\n"
+        f"code = cli.dispatch(['mc-e', '--graph', {str(graph)!r}, '--schedule', 'auto', '--trials', '3000', '--seed', '5'])\n"
+        "print(repr((code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))))\n"
+    )
+    assert ast.literal_eval(run_bare(code).splitlines()[-1]) == (0, [])
+
+
 def test_seeds_are_hashlibs_blake2b():
     masters = (-(2**70), -1, 0, 7, 2**64 - 1, 2**64, 2**64 + 1, 3**90)
     labels = ("", "mc-e", "cell", "a:b", "\u03b4-\u65b9")  # the last is not ASCII
@@ -133,15 +147,3 @@ def test_seeds_are_hashlibs_blake2b():
         for label in labels:
             for index in (0, 1, 10, 2999, 2**64):
                 assert derive_seed(master, index, label) == blake2b_seed(master, index, label)
-
-
-def test_seeds_fall_back_to_hashlib_without_the_builtin_module():
-    # CPython's hashlib takes its blake2b from _blake2 as well, so hashlib is
-    # imported before _blake2 is blocked: the hashlib of an interpreter that
-    # has no _blake2 module and gets blake2b elsewhere
-    code = (
-        "import hashlib; sys.modules['_blake2'] = None\n"
-        "from hitlab.analysis import derive_seed\n"
-        "print(derive_seed(0, 0, ''), derive_seed(0, 1, ''), derive_seed(7, 0, 'mc-e'))\n"
-    )
-    assert run_bare(code) == "9716340883820303696 7052812484153736359 7035547813488187649\n"
