@@ -26,13 +26,13 @@ import random
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, HitlabError, InfeasibleParamsError, PreconditionError, VerificationFailure
 from .graph import (
     MAX_VERTICES,
     Graph,
+    Record,
     VertexSet,
     _check_vertex_count,
     find_induced_kst,
@@ -300,11 +300,10 @@ def analytic_e_bound(
 # Monte Carlo estimation of e
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    std_error: float
-    samples: tuple[int, ...]
+class McEstimate(Record):
+    """Mean and standard error of the sampled e, and the samples in trial order."""
+
+    __slots__ = ("mean", "std_error", "samples")
 
 
 def monte_carlo_e(
@@ -497,30 +496,25 @@ def expected_residual_edges(g: Graph, i_set: VertexSet, sched: ParamSchedule) ->
 # experiment harness
 
 
-@dataclass
 class ExperimentRecord:
     """One CSV row (the fields named in `_ROW_FIELDS`), the time of each
-    stage in ms, and the error that ended the cell early, if any."""
+    stage in ms, and the error that ended the cell early, if any.  The
+    only mutable record: a cell fills it in as its stages finish."""
 
-    family: str
-    n: int
-    seed: int
-    alpha: Optional[int] = None
-    h_exact: Optional[int] = None
-    t_bet: Optional[int] = None
-    t_trivial: Optional[int] = None
-    e_observed: Optional[int] = None
-    runtime_ms: dict = field(default_factory=dict)
-    error: Optional[str] = None
+    __slots__ = ("family", "n", "seed", "alpha", "h_exact", "t_bet", "t_trivial", "e_observed", "runtime_ms",
+                 "error")
+
+    def __init__(self, family: str, n: int, seed: int, alpha=None, h_exact=None, t_bet=None, t_trivial=None,
+                 e_observed=None, runtime_ms: Optional[dict] = None, error: Optional[str] = None):
+        self.family, self.n, self.seed, self.alpha, self.h_exact = family, n, seed, alpha, h_exact
+        self.t_bet, self.t_trivial, self.e_observed, self.error = t_bet, t_trivial, e_observed, error
+        self.runtime_ms = {} if runtime_ms is None else runtime_ms
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    families: tuple[dict, ...]
-    n_values: tuple[int, ...]
-    seeds: tuple[int, ...]
-    schedule: dict
-    caps: dict
+class ExperimentConfig(Record):
+    """Family specs (dicts), n values and seeds as tuples; schedule and caps dicts."""
+
+    __slots__ = ("families", "n_values", "seeds", "schedule", "caps")
 
 
 _DEFAULT_CAPS = {"minhit_n": 24, "enum_n": 48}

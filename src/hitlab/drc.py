@@ -16,39 +16,27 @@ cliqueness and freeness are asked of mis's decision search and walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import FreenessViolationError, PreconditionError
-from .graph import Graph, InducedEmbedding, VertexSet, iter_bits
+from .graph import Graph, InducedEmbedding, Record, VertexSet, iter_bits
 from .io import FLOAT, INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record, read_vertex
 from .mis import _independent_sets, has_independent
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 BRANCH_CODEGREE = "codegree"
 BRANCH_ARGMAX = "argmax"
 
 
-@dataclass(frozen=True)
-class DrcTrace:
+class DrcTrace(Record):
     """Full trace of one clique extraction.
 
     Invariantly clique = {x} | (U minus matched vertices); the codegree
-    branch is the m = 0 case with U the fat common neighborhood.
+    branch is the m = 0 case with U the fat common neighborhood.  Y counts
+    the missing edges inside U; Z is the argmax score, a Fraction (None on
+    the codegree branch).
     """
 
-    branch: str
-    n: int
-    x: int
-    U: VertexSet
-    Y: int
-    Z: Optional[Fraction]
-    matching: tuple[tuple[int, int], ...]
-    clique: VertexSet
-    beta: float
-    alpha_density: float
+    __slots__ = ("branch", "n", "x", "U", "Y", "Z", "matching", "clique", "beta", "alpha_density")
 
 
 def is_clique(g: Graph, vs: VertexSet) -> bool:
@@ -159,16 +147,8 @@ def drc_clique(g: Graph, alpha_density: float, sharp_beta: bool = False) -> DrcT
     for p, q in matching:
         matched |= (1 << p) | (1 << q)
     return DrcTrace(
-        branch=branch,
-        n=g.n,
-        x=x,
-        U=u_set,
-        Y=y,
-        Z=z,
-        matching=matching,
-        clique=VertexSet(g.n, (u_set.bits & ~matched) | (1 << x)),
-        beta=float(beta),
-        alpha_density=alpha_density,
+        branch=branch, n=g.n, x=x, U=u_set, Y=y, Z=z, matching=matching,
+        clique=VertexSet(g.n, (u_set.bits & ~matched) | (1 << x)), beta=float(beta), alpha_density=alpha_density,
     )
 
 

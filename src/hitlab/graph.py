@@ -5,13 +5,17 @@ Vertices are dense ids 0..n-1.  Adjacency is one Python int per vertex
 single integer operations.  Graph and VertexSet never mutate after
 construction and are safe to share across concurrent workers; generators
 are single-threaded and deterministic per seed.
+
+Record is the base of the package's immutable value types.  Its methods
+are plain functions over the fields in __slots__, so creating a record
+class compiles no code and importing hitlab loads neither inspect nor ast.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import PreconditionError
@@ -25,18 +29,74 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class Record:
+    """An immutable value whose fields are its class's __slots__.
+
+    Built by position or keyword, then `_check`ed; hashed like the tuple
+    of its fields, and equal only to a record of its own class with equal
+    fields.  `__reduce__` rebuilds through the constructor, so pickle and
+    copy work although fields can be neither assigned nor deleted.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__slots__))  # a tuple: each record has 2+ fields
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs) if args else kwargs
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        setter = object.__setattr__
+        for name, value in values.items():
+            setter(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise unless the fields make a valid record; may normalise them."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._values))})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with the named fields changed, checked again."""
+    return type(record)(**dict(zip(record.__slots__, record._values), **changes))
+
+
+class VertexSet(Record):
     """A subset of the vertices 0..n-1 of some host graph.
 
     `bits` is the membership mask; `size` is its popcount.  Instances are
-    value objects: frozen, hashable, and comparable by (n, bits).
+    value objects: immutable, hashable, and comparable by (n, bits).
     """
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
+    def __init__(self, n: int, bits: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
+        self._check()
+
+    def _check(self):
         if self.n < 0:
             raise ValueError(f"negative host size {self.n}")
         if self.bits < 0 or self.bits >> self.n:
@@ -99,16 +159,14 @@ class VertexSet:
         return self.bits & ~other.bits == 0
 
 
-@dataclass(frozen=True)
-class InducedEmbedding:
-    """Witness of an induced K_{s,t}: side_a of size s, side_b of size t.
+class InducedEmbedding(Record):
+    """Witness of an induced K_{s,t}: vertex-id tuples side_a of size s, side_b of size t.
 
     Sides are disjoint, every cross pair is an edge, and no within-side
     pair is an edge.
     """
 
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
+    __slots__ = ("side_a", "side_b")
 
     def check(self, g: "Graph") -> bool:
         """True iff this embedding really is an induced K_{s,t} in g."""

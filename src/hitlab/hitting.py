@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -33,7 +32,7 @@ from .errors import (
     PreconditionError,
     VerificationFailure,
 )
-from .graph import Graph, InducedEmbedding, VertexSet, iter_bits, min_degree_vertex
+from .graph import Graph, InducedEmbedding, Record, VertexSet, iter_bits, min_degree_vertex, replace
 from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
 from .mis import ENUM_CAP_DEFAULT, _alpha, _full_pool, _independent_sets, alpha_with_witness, count_mis
 from .mis import first_missed, has_independent, independence_check
@@ -45,21 +44,17 @@ MODE_UNIFORM_SAMPLE = "uniform-sample"
 MODE_TRIVIAL = "trivial"
 
 
-@dataclass(frozen=True)
-class ParamSchedule:
+class ParamSchedule(Record):
     """Tunable constants of the construction.
 
     Absolute degree bins (half-open [lo, hi), ordered from the heaviest
-    interval down, pairwise disjoint) and one sample size k.
+    interval down, pairwise disjoint) and one sample size k.  The check
+    stores `bins` as a tuple of (float, float) pairs.
     """
 
-    s: int
-    t: int
-    delta: float
-    k: int
-    bins: tuple[tuple[float, float], ...]
+    __slots__ = ("s", "t", "delta", "k", "bins")
 
-    def __post_init__(self):
+    def _check(self):
         if not (isinstance(self.s, int) and isinstance(self.t, int)):
             raise PreconditionError("s and t must be integers")
         if not 1 <= self.s <= self.t:
@@ -96,21 +91,15 @@ class ParamSchedule:
         return (math.log(lo) if lo > 0.0 else -math.inf), math.log(hi), math.log(self.k)
 
 
-@dataclass(frozen=True)
-class AsymptoticSchedule:
+class AsymptoticSchedule(Record):
     """The textbook parameter point, reported in natural-log space.
 
-    Per-bin log degree bounds (log_bins) and log sample sizes (log_ks);
-    `feasible` says whether the values fit inside [1, n] at all.  A
-    report only: the construction runs on a ParamSchedule.
+    Per-bin log degree bounds (log_bins, (lo, hi) pairs) and log sample
+    sizes (log_ks); `feasible` says whether the values fit inside [1, n]
+    at all.  A report only: the construction runs on a ParamSchedule.
     """
 
-    s: int
-    t: int
-    delta: float
-    feasible: bool
-    log_bins: tuple[tuple[float, float], ...]
-    log_ks: tuple[float, ...]
+    __slots__ = ("s", "t", "delta", "feasible", "log_bins", "log_ks")
 
     @property
     def num_bins(self) -> int:
@@ -191,28 +180,16 @@ def asymptotic_schedule(n: int, s: int, t: int, delta: float) -> AsymptoticSched
     )
 
 
-@dataclass(frozen=True)
-class HittingCertificate:
+class HittingCertificate(Record):
     """Replayable trace of one hitting-set run.
 
     For sampled-core runs T = H | NH | S_j and all intermediate sets are
-    recorded; low-degree runs record the center vertex instead; trivial
-    runs have T = V.  size_accounting is (|H|, |NH|, |S_j|).
+    recorded as VertexSets; low-degree runs record the center vertex
+    instead; trivial runs have T = V.  size_accounting is (|H|, |NH|, |S_j|).
     """
 
-    mode: str
-    n: int
-    seed: Optional[int]
-    T: VertexSet
-    I: VertexSet
-    bin_index: int
-    S_j: VertexSet
-    I_j: VertexSet
-    K: VertexSet
-    H: VertexSet
-    NH: VertexSet
-    center: Optional[int]
-    size_accounting: tuple[int, int, int]
+    __slots__ = ("mode", "n", "seed", "T", "I", "bin_index", "S_j", "I_j", "K", "H", "NH", "center",
+                 "size_accounting")
 
 
 def _bare_certificate(mode: str, seed: Optional[int], t_set: VertexSet) -> HittingCertificate:
@@ -557,22 +534,15 @@ def min_hitting_set(g: Graph) -> tuple[int, VertexSet]:
 # uniform sampling (the probabilistic hitting-set existence argument)
 
 
-@dataclass(frozen=True)
-class SampleHitResult:
+class SampleHitResult(Record):
     """Outcome of repeated uniform p-subset trials.
 
-    hit is the first sampled set that verified (None if all trials
-    failed); union_bound is count * (1 - p/n)^alpha, the analytic
-    failure-probability envelope.
+    hit is the first sampled VertexSet that verified and hit_trial its
+    index (both None if all trials failed); union_bound is
+    count * (1 - p/n)^alpha, the analytic failure-probability envelope.
     """
 
-    hit: Optional[VertexSet]
-    hit_trial: Optional[int]
-    fail_rate: float
-    union_bound: float
-    trials: int
-    p: int
-    seed: int
+    __slots__ = ("hit", "hit_trial", "fail_rate", "union_bound", "trials", "p", "seed")
 
     def to_certificate(self) -> Optional[HittingCertificate]:
         if self.hit is None:

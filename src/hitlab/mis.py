@@ -122,26 +122,23 @@ greedy: there the second costs more than it saves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import EnumerationCapError, PreconditionError
-from .graph import Graph, VertexSet, iter_bits
+from .graph import Graph, Record, VertexSet, iter_bits
 
 ENUM_CAP_DEFAULT = 48
 
 
-@dataclass(frozen=True)
-class MisFamily:
-    """All maximum independent sets of one host graph.
+class MisFamily(Record):
+    """All maximum independent sets of one host graph: host_n, alpha,
+    and `sets`, a tuple of VertexSet.
 
     `sets` is canonically ordered: lexicographic by the sorted member
     list of each set (the order a lowest-id-first DFS emits).
     """
 
-    host_n: int
-    alpha: int
-    sets: tuple[VertexSet, ...]
+    __slots__ = ("host_n", "alpha", "sets")
 
     @property
     def count(self) -> int:

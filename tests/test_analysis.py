@@ -7,7 +7,6 @@ import os
 import random
 import re
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -44,7 +43,7 @@ from hitlab.analysis import (
 )
 from hitlab import analysis
 from hitlab.errors import FreenessViolationError, VerificationFailure
-from hitlab.graph import gen_c4_free_process
+from hitlab.graph import gen_c4_free_process, replace
 from hitlab.hitting import bin_and_select, build_K, construct_hitting_set
 from hitlab.mis import alpha_with_witness
 from helpers import address_space_cap, ref_monte_carlo_e

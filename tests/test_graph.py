@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import inspect
+import pickle
 import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from hitlab.analysis import ExperimentConfig, ExperimentRecord, McEstimate, load_config
+from hitlab.drc import drc_clique
 from hitlab.errors import PreconditionError
 from hitlab.graph import (
     Graph,
@@ -22,9 +26,11 @@ from hitlab.graph import (
     gen_path,
     iter_bits,
     min_degree_vertex,
+    replace,
 )
+from hitlab.hitting import ParamSchedule, asymptotic_schedule, construct_hitting_set, sample_hitting_set
 from hitlab.io import format_edge_list
-from hitlab.mis import _independent_sets
+from hitlab.mis import _independent_sets, enumerate_mis
 from helpers import gen_split, has_induced_kst_brute, petersen, ref_find_induced_kst, ref_gen_c4_free_process
 
 # sha256 of format_edge_list for c4free graphs, one "n m_frac seed digest" a line
@@ -295,3 +301,87 @@ class TestFindInducedKst:
             find_induced_kst(gen_cycle(4), 2, 1)
         with pytest.raises(PreconditionError):
             find_induced_kst(gen_cycle(4), 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the record contract: one record of each immutable value class
+
+C5_SCHEDULE = ParamSchedule(2, 2, 0.5, 2, ((1, 2),))
+RECORDS = [
+    VertexSet(5, 3),
+    InducedEmbedding((0, 1), (2, 3)),
+    enumerate_mis(gen_cycle(5)),
+    drc_clique(gen_cluster([4, 4]), 0.4),
+    C5_SCHEDULE,
+    asymptotic_schedule(10, 2, 2, 0.5),
+    construct_hitting_set(gen_cycle(5), C5_SCHEDULE, seed=7),
+    sample_hitting_set(gen_cycle(5), 3, seed=0, trials=2),
+    McEstimate(mean=1.5, std_error=0.5, samples=(1, 2)),
+    load_config({"families": [{"kind": "path"}], "n_values": [6], "seeds": [1]}),
+]
+
+
+def fields_of(rec) -> dict:
+    return {name: getattr(rec, name) for name in type(rec).__slots__}
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_record_contract(rec):
+    cls, fields = type(rec), fields_of(rec)
+    names = list(fields)
+    # built by keyword or by position, equal records are equal and hash alike
+    twin = cls(**fields)
+    assert twin == rec and twin is not rec and cls(*fields.values()) == rec
+    if cls is ExperimentConfig:
+        with pytest.raises(TypeError):  # a config holds dicts, so it is unhashable
+            hash(rec)
+    else:
+        assert hash(twin) == hash(rec) == hash(tuple(fields.values()))
+    assert rec != tuple(fields.values())
+    assert all(rec != other for other in RECORDS if type(other) is not cls)
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    # fields can be neither assigned nor deleted, nor new attributes added
+    for name in (names[0], names[-1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert fields_of(rec) == fields
+    # an unknown, a missing or a repeated field is refused
+    with pytest.raises(TypeError):
+        cls(**fields, extra=0)
+    with pytest.raises(TypeError):
+        cls(**{k: v for k, v in fields.items() if k != names[-1]})
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{names[0]: fields[names[0]]})
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 0)
+    with pytest.raises(TypeError):
+        replace(rec, extra=0)
+    # replace with an unchanged value rebuilds an equal record of the class
+    changed = replace(rec, **{names[-1]: fields[names[-1]]})
+    assert type(changed) is cls and changed == rec
+    # pickle and copy rebuild an equal record of the same class
+    for back in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(back) is cls and back == rec and fields_of(back) == fields
+
+
+def test_replace_checks_the_record_again():
+    with pytest.raises(ValueError):
+        replace(VertexSet(5, 3), bits=1 << 5)
+    with pytest.raises(ValueError):
+        replace(VertexSet(5, 3), n=-1)
+    with pytest.raises(PreconditionError):
+        replace(C5_SCHEDULE, s=3)
+    assert replace(C5_SCHEDULE, bins=[[2, 3], [1, 2]]).bins == ((2.0, 3.0), (1.0, 2.0))
+    assert replace(VertexSet(5, 3), bits=4) == VertexSet(5, 4)
+
+
+def test_experiment_records_are_mutable_with_a_fresh_timing_dict():
+    first, second = ExperimentRecord("path", 6, 1), ExperimentRecord(family="path", n=6, seed=1)
+    assert (first.alpha, first.h_exact, first.t_bet, first.t_trivial, first.e_observed, first.error) == (None,) * 6
+    first.runtime_ms["gen"] = 1.0
+    first.alpha = 3
+    assert second.runtime_ms == {} and second.alpha is None
+    with pytest.raises(AttributeError):
+        first.extra = 0

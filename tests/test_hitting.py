@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from hitlab.errors import (
     PreconditionError,
     VerificationFailure,
 )
-from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path
+from hitlab.graph import Graph, VertexSet, gen_c4_free_process, gen_cluster, gen_cycle, gen_gnp, gen_path, replace
 from hitlab.hitting import (
     MAX_BINS,
     MODE_LOW_DEGREE,

@@ -11,12 +11,13 @@ WRAPS.  `__init__` re-exports names and is not checked.
 import ast
 import hashlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 from hitlab.analysis import derive_seed, resolve_schedule
-from hitlab.graph import gen_c4_free_process
+from hitlab.graph import gen_c4_free_process, gen_cycle
 from hitlab.io import save_graph
 from hitlab.mis import alpha_with_witness
 from helpers import ref_monte_carlo_e
@@ -99,6 +100,31 @@ def blake2b_seed(master: int, index: int, label: str) -> int:
 def test_import_leaves_the_deferred_modules_unloaded():
     code = f"import hitlab, hitlab.cli; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
     assert run_bare(code) == "[]\n"
+
+
+# modules no hitlab import or command loads: dataclasses would pull in
+# inspect, which imports dis, ast and tokenize; the records are built on
+# graph.Record instead
+NEVER_LOADED = ("dataclasses", "inspect", "dis", "ast", "tokenize")
+
+
+def test_import_and_commands_leave_the_introspection_modules_unloaded(tmp_path):
+    # a certificate written by hit, checked by verify, and a two-cell sweep
+    graph, cert, config = tmp_path / "c5.el", tmp_path / "c5.cert", tmp_path / "sweep.json"
+    save_graph(gen_cycle(5), str(graph))
+    config.write_text(json.dumps({"families": [{"kind": "path"}], "n_values": [6], "seeds": [1, 2]}))
+    commands = [
+        ["hit", "--graph", str(graph), "--theta", "1:2", "--delta", "0.5", "--seed", "7", "--out", str(cert)],
+        ["verify", "--graph", str(graph), "--cert", str(cert)],
+        ["experiment", "--config", str(config), "--out", str(tmp_path / "sweep.csv")],
+    ]
+    code = (
+        "import hitlab, hitlab.cli\n"
+        f"loaded = sorted(set({NEVER_LOADED!r}) & set(sys.modules))\n"
+        f"codes = [hitlab.cli.dispatch(argv) for argv in {commands!r}]\n"
+        f"print(repr((loaded, codes, sorted(set({NEVER_LOADED!r}) & set(sys.modules)))))\n"
+    )
+    assert ast.literal_eval(run_bare(code).splitlines()[-1]) == ([], [0, 0, 0], [])
 
 
 def test_monte_carlo_split_over_two_cpus_loads_no_hashlib():
