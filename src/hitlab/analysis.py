@@ -9,10 +9,14 @@ seeded Monte Carlo, and sweeps graph families into CSV records.
 
 Everything is deterministic: each experiment cell runs on a seed the
 config lists, each Monte Carlo trial on a seed derived from the master
-seed by hashing, and results keep cell and trial order.
+seed by hashing, and results keep cell and trial order, however many
+processes run the trials.  The first Monte Carlo call that splits its
+trials forks helper processes; they serve every later call, idle in
+between, until the process that forked them exits.
 
-Importing this module loads neither _blake2 nor fractions, json, signal or
-array: each is imported by the functions that use it.  The trial seeds
+Importing this module forks nothing and loads neither _blake2 nor
+fractions, json, signal, array or atexit: each is imported by the
+functions that use it.  The trial seeds
 hash with _blake2, CPython's built-in BLAKE2 (the same blake2b that
 hashlib re-exports), so no hitlab process imports hashlib, whose import
 maps OpenSSL's libcrypto.
@@ -321,9 +325,10 @@ def monte_carlo_e(
     from its own seed, and the cache of e only saves work.  So the trials
     split into contiguous ranges, one per CPU this process may use and at
     most one per _MIN_TRIALS_PER_PROCESS trials; this process runs the
-    first range and a forked child each later one (see _split_run).  The
-    samples, mean and std_error are those of one serial loop on any number
-    of CPUs.
+    first range and a helper process each later one (see _run_ranges).
+    The first call that splits forks the helpers, and they serve every
+    later call until this process exits.  The samples, mean and std_error
+    are those of one serial loop on any number of CPUs.
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
@@ -334,26 +339,8 @@ def monte_carlo_e(
     i_bits = i_set.bits
     outside = ((1 << g.n) - 1) & ~(i_bits | s_j.bits)
     degree = {v: (g.adj[v] & i_bits).bit_count() for v in iter_bits(outside)}
-    base_e = sum(degree.values())
-    members = i_set.members()
-    prefix = _seed_prefix(seed, "mc-e")
-
-    def chunk(lo: int, hi: int) -> list[int]:
-        rng = random.Random()
-        reseed = super(random.Random, rng).seed  # the C seeding alone; Random.seed adds type checks
-        e_of: dict[int, int] = {}
-        samples = []
-        for idx in range(lo, hi):
-            reseed(_seed_at(prefix, idx))
-            i_j = _draw_bits(rng, members, k)
-            e = e_of.get(i_j)
-            if e is None:
-                k_bits = build_K(g, VertexSet(g.n, i_j), sched.s, sched.t).bits & outside
-                e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
-            samples.append(e)
-        return samples
-
-    samples = _split_run(chunk, _trial_ranges(trials))
+    job = (g.n, g.adj, i_set.members(), k, sched.s, sched.t, outside, degree, seed)
+    samples = _run_ranges(job, _trial_ranges(trials))
     total = sum(samples)
     mean = total / trials
     if trials > 1:
@@ -364,10 +351,33 @@ def monte_carlo_e(
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
 
 
-# A fork, exit and reap of a 21-22 MB interpreter costs 2.4-3.3 ms on a
-# 2-CPU host and a trial about 8 us, so a process pays for itself from
-# several hundred trials on.  mc-e's default of 100 trials stays in one
-# process.
+def _trials(n, adj, members, k, s, t, outside, degree, seed, lo, hi) -> list[int]:
+    """The samples of monte_carlo_e's trials lo..hi-1, from plain data a
+    helper can receive: the graph's rows, I, the schedule's k, s and t,
+    the outside vertices as a mask and their I-degrees, and the master seed."""
+    g = Graph(n, adj)
+    prefix = _seed_prefix(seed, "mc-e")
+    base_e = sum(degree.values())
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed  # the C seeding alone; Random.seed adds type checks
+    e_of: dict[int, int] = {}
+    samples = []
+    for idx in range(lo, hi):
+        reseed(_seed_at(prefix, idx))
+        i_j = _draw_bits(rng, members, k)
+        e = e_of.get(i_j)
+        if e is None:
+            k_bits = build_K(g, VertexSet(n, i_j), s, t).bits & outside
+            e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
+        samples.append(e)
+    return samples
+
+
+# A fork, exit and reap of a 21-22 MB interpreter costs 1.5-2 ms on a
+# 2-CPU host and a trial about 8 us, so a helper pays for a first call's
+# fork from several hundred trials on; later calls pay a pipe round trip
+# of about 13 us.  The bar stays at 1,000 trials, so that mc-e's default
+# of 100 trials never forks.
 _MIN_TRIALS_PER_PROCESS = 1000
 
 
@@ -393,76 +403,176 @@ def _trial_ranges(trials: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _split_run(chunk: Callable[[int, int], list[int]], ranges: list[tuple[int, int]]) -> list[int]:
-    """chunk(lo, hi) over each range, concatenated in range order.
+# The helpers this process forked for monte_carlo_e, as (pid, write end of
+# its job pipe, read end of its reply pipe), in range order, each idle and
+# in step: no job in flight, nothing unread.  _helpers_pid is the process
+# that forked them.  They serve every call until that process exits.
+_helpers: list[tuple[int, int, int]] = []
+_helpers_pid: Optional[int] = None
+_DONE, _RAISED = b"\0", b"\1"  # a reply's first byte: the samples follow, or the range raised
 
-    This process runs the first range and a forked child each later one.
-    A range whose fork failed, or whose child exits non-zero or sends the
-    wrong count, is rerun here, so an error is raised at the trial, and
-    with the message, of the serial loop.  Every child is reaped before
-    this returns or raises.
+
+def _run_ranges(job: tuple, ranges: list[tuple[int, int]]) -> list[int]:
+    """_trials(*job, lo, hi) over each range, concatenated in range order.
+
+    This process runs the first range and a helper each later one, sent
+    as one length-prefixed marshal message and answered with 64-bit
+    integers.  A range whose helper could not be started, died, sent a
+    short reply or raised is rerun here, so an error is raised at the
+    trial, and with the message, of the serial loop.  A helper with a job
+    in flight when this process raises is killed and reaped.
     """
-    import signal
+    import marshal
     from array import array
 
-    children = {}  # range index -> (pid, read end of its pipe), until reaped
+    parts = [None] * len(ranges)
+    sent = []  # (range index, helper) whose reply is not yet read
     try:
-        for i in range(1, len(ranges)):
-            child = _fork_chunk(chunk, *ranges[i])
-            if child is not None:
-                children[i] = child
-        samples = chunk(*ranges[0])
-        for i in range(1, len(ranges)):
-            lo, hi = ranges[i]
-            if i in children:
-                pid, pipe = children[i]
-                with pipe:
-                    data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[i]
-                got = array("q")
-                if status == 0 and len(data) == got.itemsize * (hi - lo):
-                    got.frombytes(data)
-                    samples.extend(got)
-                    continue
-            samples.extend(chunk(lo, hi))
-        return samples
+        for i, helper in enumerate(_start_helpers(len(ranges) - 1), 1):
+            msg = marshal.dumps(job + ranges[i])
+            sent.append((i, helper))
+            try:
+                _write(helper[1], len(msg).to_bytes(8, "little") + msg)
+            except BrokenPipeError:  # it died since _start_helpers looked
+                sent.pop()
+                _drop(helper)
+        parts[0] = _trials(*job, *ranges[0])
+        while sent:
+            i, helper = sent[0]
+            size = 8 * (ranges[i][1] - ranges[i][0])
+            status = _read(helper[2], 1)
+            data = _read(helper[2], size) if status == _DONE else b""
+            if len(data) == size:
+                parts[i] = array("q", data)
+            elif status != _RAISED:  # it died or sent a short reply
+                _drop(helper)
+            del sent[0]
     finally:
-        for pid, pipe in children.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for _, helper in sent:
+            _drop(helper)
+    samples = []
+    for (lo, hi), part in zip(ranges, parts):
+        samples.extend(_trials(*job, lo, hi) if part is None else part)
+    return samples
 
 
-def _fork_chunk(chunk: Callable[[int, int], list[int]], lo: int, hi: int):
-    """Fork a child that writes chunk(lo, hi) to a pipe as 64-bit integers
-    and exits, 0 only when every byte went out: (its pid, the pipe's read
-    end as a file), or None when no child could be started.  The child
-    leaves by os._exit, which skips the parent's cleanup, flushes and exit
-    handlers."""
-    from array import array
+def _start_helpers(count: int) -> list[tuple[int, int, int]]:
+    """The first `count` helpers, forking any missing (fewer if a fork
+    fails); one that died since the last call is reaped and replaced."""
+    global _helpers_pid
+    for helper in [h for h in _helpers[:count] if _reaped(h[0], os.WNOHANG)]:
+        _forget(helper)
+    if len(_helpers) < count:
+        if _helpers_pid is None:
+            import atexit
 
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
+            os.register_at_fork(after_in_child=_close_helpers)
+            atexit.register(_stop_helpers)
+        _helpers_pid = os.getpid()
+    while len(_helpers) < count:
+        fds = []
         try:
-            out = memoryview(array("q", chunk(lo, hi)).tobytes())
-            while out:
-                out = out[os.write(write_fd, out):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            break
+        job_r, job_w, reply_r, reply_w = fds
+        if pid == 0:
+            _serve(*fds)
+        os.close(job_r)
+        os.close(reply_w)
+        _helpers.append((pid, job_w, reply_r))
+    return _helpers[:count]
+
+
+def _serve(job_r: int, job_w: int, reply_r: int, reply_w: int) -> None:
+    """A helper's loop: read a job, send back its samples or _RAISED, until
+    the job pipe reaches end of file.  It ignores SIGINT, which a terminal
+    sends to the whole process group, writes nothing to stdout or stderr,
+    and leaves only by os._exit, which skips its owner's exit handlers and
+    buffered output."""
+    code = 1
+    try:
+        import marshal
+        import signal
+        from array import array
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(job_w)
+        os.close(reply_r)
+        while head := _read(job_r, 8):
+            job = marshal.loads(_read(job_r, int.from_bytes(head, "little")))
+            try:
+                reply = _DONE + array("q", _trials(*job)).tobytes()
+            except Exception:  # the owner reruns the range and raises it there
+                reply = _RAISED
+            _write(reply_w, reply)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from a pipe, or fewer at end of file."""
+    parts = []
+    while size and (part := os.read(fd, size)):
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _forget(helper: tuple[int, int, int]) -> None:
+    """Take a helper out of _helpers and close this process's ends of its pipes."""
+    _helpers.remove(helper)
+    os.close(helper[1])
+    os.close(helper[2])
+
+
+def _drop(helper: tuple[int, int, int]) -> None:
+    """Forget a helper that is out of step, then kill and reap it."""
+    import signal
+
+    _forget(helper)
+    if not _reaped(helper[0], os.WNOHANG):
+        os.kill(helper[0], signal.SIGKILL)
+        _reaped(helper[0])
+
+
+def _reaped(pid: int, options: int = 0) -> bool:
+    """Reap a helper (waiting unless options has os.WNOHANG): whether it is
+    gone, also when other code of this process reaped it first."""
+    try:
+        return os.waitpid(pid, options)[0] != 0
+    except ChildProcessError:
+        return True
+
+
+def _close_helpers() -> None:
+    """Forget every helper, closing this process's ends of its pipes.  Every
+    forked child runs it, so a child never writes to its parent's helpers,
+    and a helper sees end of file once its owner closes the job pipe."""
+    while _helpers:
+        _forget(_helpers[0])
+
+
+def _stop_helpers() -> None:
+    """At exit: close every helper's job pipe, which ends its loop, then
+    reap them all, so no helper outlives its owner.  It does nothing in any
+    other process."""
+    if os.getpid() == _helpers_pid:
+        pids = [helper[0] for helper in _helpers]
+        _close_helpers()
+        for pid in pids:
+            _reaped(pid)
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -521,14 +631,15 @@ _DEFAULT_CAPS = {"minhit_n": 24, "enum_n": 48}
 
 
 def _config_int(value, what: str) -> int:
-    """An integer config value: a bool, a number with a fractional part or
-    a non-number is a ConfigError, not the integer it would truncate to."""
-    try:
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-            raise ValueError
+    """An integer config value: a JSON integer, or a float with no
+    fractional part.  A bool, a string, a number with a fractional part or
+    any other value is a ConfigError, not the integer it would parse or
+    truncate to."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what}: {value!r} is not an integer") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what}: {value!r} is not an integer")
 
 
 def _config_ints(values, what: str) -> tuple[int, ...]:

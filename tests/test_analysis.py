@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import signal
 import threading
 from fractions import Fraction
 from itertools import combinations
@@ -416,11 +417,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def helper_pids():
+    return [pid for pid, _, _ in analysis._helpers]
+
+
+def wait_dead(pid):
+    """Wait until a helper has exited, leaving it for monte_carlo_e to reap."""
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
 @pytest.fixture
 def split(monkeypatch):
     """split(cpus) runs monte_carlo_e as on `cpus` CPUs with no trial
     minimum per process; it returns the pids forked and a count of the
-    trials drawn in this process."""
+    trials drawn in this process.  The helpers are stopped at teardown."""
 
     def force(cpus):
         monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
@@ -437,26 +447,34 @@ def split(monkeypatch):
         monkeypatch.setattr(analysis, "_draw_bits", lambda *args: here.append(1) or draw(*args))
         return forks, here
 
-    return force
+    yield force
+    analysis._stop_helpers()
+
+
+CLEAN_CASE = (0.1, 0, 2, 2, 2)
 
 
 class TestMonteCarloSplit:
-    """The trials split over forked children give the serial loop's samples
-    and errors, and leave no process behind."""
+    """The trials split over helper processes give the serial loop's samples
+    and errors; the helpers are forked once, reused by every later call and
+    reaped at exit."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_samples_match_the_serial_loop(self, split, cpus):
-        cases = [c4free_case(0.1, 0, 2, 2, 2), c4free_case(0.2, 1, 2, 2, 2), (gen_path(10), i_of(10, [0, 2, 4, 6, 8]), P10_SCHED)]
+        cases = [c4free_case(*CLEAN_CASE), c4free_case(0.2, 1, 2, 2, 2), (gen_path(10), i_of(10, [0, 2, 4, 6, 8]), P10_SCHED)]
         runs = [(case, trials, monte_carlo_e(*case, trials, 5)) for case in cases for trials in (601, 1000)]
         forks, here = split(cpus)
         for case, trials, serial in runs:
-            forks.clear()
             here.clear()
             est = monte_carlo_e(*case, trials, 5)
-            assert_no_child_left()
             assert est == serial and est.samples == ref_monte_carlo_e(*case, trials, 5)
-            # every child's samples came through its pipe, none rerun here
-            assert len(forks) == cpus - 1 and len(here) == -(-trials // cpus)
+            # every helper's samples came through its pipe, none rerun here;
+            # the first call forked the helpers and every later one reused them
+            assert len(here) == -(-trials // cpus)
+            assert helper_pids() == forks and len(forks) == cpus - 1
+        analysis._stop_helpers()
+        assert helper_pids() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "case,seed,first_bad,trials,cpus,in_child",
@@ -471,6 +489,8 @@ class TestMonteCarloSplit:
     )
     def test_freeness_violation_raised_as_the_serial_loop(self, split, case, seed, first_bad, trials, cpus, in_child):
         g, i_set, sched = c4free_case(*case)
+        clean = c4free_case(*CLEAN_CASE)
+        want = [ref_monte_carlo_e(*clean, 601, clean_seed) for clean_seed in (5, 6)]
         if first_bad:
             monte_carlo_e(g, i_set, sched, first_bad, seed)
         with pytest.raises(FreenessViolationError) as serial:
@@ -480,8 +500,79 @@ class TestMonteCarloSplit:
         assert len(ranges) == cpus and (ranges[0][1] <= first_bad) == in_child
         with pytest.raises(FreenessViolationError, match=re.escape(str(serial.value))):
             monte_carlo_e(g, i_set, sched, trials, seed)
-        assert_no_child_left()
         assert len(forks) == cpus - 1
+        if in_child:
+            # the helper that raised sent its status and is idle, in step
+            assert helper_pids() == forks
+        else:
+            # this process raised with a job in flight in every helper: each
+            # was killed and reaped, so none can send a stale reply
+            assert helper_pids() == []
+            for pid in forks:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+        # two clean calls of different samples: a helper a step behind would
+        # hand the second call the first call's samples
+        assert [monte_carlo_e(*clean, 601, clean_seed).samples for clean_seed in (5, 6)] == want
+        assert len(forks) == (cpus - 1) * (1 if in_child else 2) and helper_pids() == forks[-(cpus - 1):]
+
+    @pytest.mark.parametrize("reaped_elsewhere", [False, True])
+    def test_a_killed_helper_is_replaced(self, split, reaped_elsewhere):
+        g, i_set, sched = c4free_case(*CLEAN_CASE)
+        want = [ref_monte_carlo_e(g, i_set, sched, 601, seed) for seed in (5, 6)]
+        forks, here = split(2)
+        assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want[0]
+        os.kill(forks[0], signal.SIGKILL)
+        # other code of this process, such as a loop over os.wait, may reap it first
+        os.waitpid(forks[0], 0) if reaped_elsewhere else wait_dead(forks[0])
+        here.clear()
+        assert monte_carlo_e(g, i_set, sched, 601, 6).samples == want[1]
+        # the dead helper was reaped and a fresh one ran the second range
+        assert len(forks) == 2 and helper_pids() == forks[1:] and len(here) == 301
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_sigint_leaves_an_idle_helper_silent_and_alive(self, split, capfd):
+        g, i_set, sched = c4free_case(*CLEAN_CASE)
+        want = [ref_monte_carlo_e(g, i_set, sched, 601, seed) for seed in (5, 6)]
+        capfd.readouterr()
+        forks, _ = split(2)
+        assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want[0]
+        os.kill(forks[0], signal.SIGINT)
+        assert monte_carlo_e(g, i_set, sched, 601, 6).samples == want[1]
+        assert helper_pids() == forks and len(forks) == 1
+        assert os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_forked_child_leaves_the_helpers_alone(self, split):
+        g, i_set, sched = c4free_case(*CLEAN_CASE)
+        want = [ref_monte_carlo_e(g, i_set, sched, 601, seed) for seed in (5, 6, 7)]
+        forks, _ = split(2)
+        assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want[0]
+        (helper,) = analysis._helpers
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # the child forgot the helper and closed its copies of the pipe ends
+                closed = []
+                for fd in helper[1:]:
+                    try:
+                        os.fstat(fd)
+                    except OSError:
+                        closed.append(fd)
+                ok = analysis._helpers == [] and closed == list(helper[1:])
+                # a call that splits forks the child's own helper
+                ok = ok and monte_carlo_e(g, i_set, sched, 601, 6).samples == want[1]
+                ok = ok and len(analysis._helpers) == 1 and helper_pids() != [helper[0]]
+                analysis._stop_helpers()
+                code = 0 if ok else 2
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert analysis._helpers == [helper]
+        assert monte_carlo_e(g, i_set, sched, 601, 7).samples == want[2]
+        assert analysis._helpers == [helper] and forks == [helper[0], pid]
 
     def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
         def no_fork():
@@ -574,6 +665,11 @@ class TestLoadConfig:
         p.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(str(p))
+
+    def test_integers_are_json_numbers(self):
+        with pytest.raises(ConfigError, match=re.escape("seeds: '1' is not an integer")):
+            load_config({"seeds": ["1"]})
+        assert load_config({"seeds": [1, 2.0], "n_values": [6]}).seeds == (1, 2)
 
     def test_families_shape(self):
         with pytest.raises(ConfigError, match="list of objects"):

@@ -616,10 +616,12 @@ class TestMcE:
         fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         runs = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 2):
             monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
             runs.append(cli(capsys, *argv))
-        assert runs[0] == runs[1] and runs[0][0] == 0 and len(forks) == 1
+        # the second run forked one helper, and the third reused it
+        assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0 and len(forks) == 1
+        analysis._stop_helpers()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -740,6 +742,11 @@ def _cert_with(key, value):
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "q": 2.7}]}'}),
         (["experiment", "--config", "{dir}/x.json"],
          {"x.json": '{"families": [{"kind": "cluster", "sizes": [3.9, 3]}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"seeds": ["1"]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"n_values": ["6"]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "q": "3"}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"enum_n": " 4 "}}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"seeds": ["1_000"]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "sizes": "33"}]}'}),
         (["hit", "--graph", "{dir}/c7.el", "--schedule", "auto", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["mc-e", "--graph", "{dir}/c7.el", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
@@ -762,7 +769,8 @@ def _cert_with(key, value):
         "cluster-sizes-not-int", "gnp-p-not-numeric", "c4free-m-frac-not-numeric", "schedule-s-not-int",
         "schedule-delta-not-numeric", "schedule-k-not-int", "n-values-infinite",
         "config-not-utf-8", "seeds-fractional", "seeds-boolean", "n-values-fractional", "cap-fractional",
-        "schedule-s-fractional", "cluster-q-fractional", "cluster-sizes-fractional", "cluster-sizes-string",
+        "schedule-s-fractional", "cluster-q-fractional", "cluster-sizes-fractional", "seeds-string", "n-values-string",
+        "cluster-q-string", "cap-string", "seeds-underscored-string", "cluster-sizes-string",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
         "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs", "hit-h-over-digit-limit",
         "hit-h-astronomical", "prob-i-size-above-the-ceiling",

@@ -74,10 +74,11 @@ def test_every_imported_name_is_used():
 
 # modules a hitlab import leaves to the first call that needs them: _blake2
 # hashes the Monte Carlo seeds alone, fractions (and through it decimal)
-# serves the exact audits, json the config reader, signal and array the
-# Monte Carlo fork helpers; no hitlab call loads hashlib or its _hashlib,
-# whose import maps OpenSSL
-DEFERRED = ("hashlib", "_hashlib", "_blake2", "fractions", "decimal", "json", "signal", "array")
+# serves the exact audits, json the config reader, and signal, array and
+# atexit the Monte Carlo helper processes, which the first call that
+# splits forks; no hitlab call loads hashlib or its _hashlib, whose import
+# maps OpenSSL
+DEFERRED = ("hashlib", "_hashlib", "_blake2", "fractions", "decimal", "json", "signal", "array", "atexit")
 
 
 def run_bare(code: str) -> str:
@@ -127,30 +128,66 @@ def test_import_and_commands_leave_the_introspection_modules_unloaded(tmp_path):
     assert ast.literal_eval(run_bare(code).splitlines()[-1]) == ([], [0, 0, 0], [])
 
 
+# C4-free n = 40 with 78 edges, graph seed 0, s = t = k = 2
+MC_SETUP = (
+    "import os\n"
+    "from hitlab import analysis\n"
+    "from hitlab.graph import gen_c4_free_process\n"
+    "from hitlab.mis import alpha_with_witness\n"
+    "g = gen_c4_free_process(40, 78, 0)\n"
+    "sched = analysis.resolve_schedule(g, {'mode': 'auto', 's': 2, 't': 2, 'k': 2})\n"
+    "i_set = alpha_with_witness(g)[1]\n"
+)
+
+
 def test_monte_carlo_split_over_two_cpus_loads_no_hashlib():
-    # C4-free n = 40 with 78 edges, graph seed 0, s = t = k = 2; 3,000 trials
-    # on two CPUs: this process runs trials 0-1499 and one forked child the rest
-    code = (
-        "import os\n"
-        "from hitlab import analysis\n"
-        "from hitlab.graph import gen_c4_free_process\n"
-        "from hitlab.mis import alpha_with_witness\n"
-        "g = gen_c4_free_process(40, 78, 0)\n"
-        "sched = analysis.resolve_schedule(g, {'mode': 'auto', 's': 2, 't': 2, 'k': 2})\n"
+    # 3,000 trials on two CPUs, twice: this process runs trials 0-1499 and
+    # one helper process the rest, forked by the first call and reused
+    code = MC_SETUP + (
         "forks = []\n"
         "fork = os.fork\n"
         "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
         "analysis._cpus = lambda: 2\n"
-        "est = analysis.monte_carlo_e(g, alpha_with_witness(g)[1], sched, 3000, 5)\n"
+        "runs = [analysis.monte_carlo_e(g, i_set, sched, 3000, seed).samples for seed in (5, 6)]\n"
         "seeds = [analysis.derive_seed(5, i, 'mc-e') for i in (0, 1499, 1500, 2999)]\n"
-        "print(repr((len(forks), seeds, est.samples, sorted({'hashlib', '_hashlib'} & set(sys.modules)))))\n"
+        "print(repr((len(forks), seeds, runs, sorted({'hashlib', '_hashlib'} & set(sys.modules)))))\n"
     )
-    forks, seeds, samples, loaded = ast.literal_eval(run_bare(code))
+    forks, seeds, runs, loaded = ast.literal_eval(run_bare(code))
     g = gen_c4_free_process(40, 78, 0)
     sched = resolve_schedule(g, {"mode": "auto", "s": 2, "t": 2, "k": 2})
     assert forks == 1 and loaded == []
     assert seeds == [blake2b_seed(5, i, "mc-e") for i in (0, 1499, 1500, 2999)]
-    assert samples == ref_monte_carlo_e(g, alpha_with_witness(g)[1], sched, 3000, 5)
+    assert runs == [ref_monte_carlo_e(g, alpha_with_witness(g)[1], sched, 3000, seed) for seed in (5, 6)]
+
+
+def test_interpreter_exit_reaps_every_helper():
+    # two 3,000-trial calls on three CPUs: two helpers, forked by the first
+    # call.  The exit handler registered first runs last, after the one that
+    # stops the helpers, and must find no child.  A helper holding a write
+    # end of a job pipe, its own or a sibling's, could keep a helper from
+    # ever seeing end of file; on Linux each helper's job pipe ends are
+    # listed from /proc, and it may hold only its own pipe's read end
+    code = (
+        "import atexit, os\n"
+        "def last():\n"
+        "    try:\n"
+        "        print('child left', os.waitpid(-1, os.WNOHANG))\n"
+        "    except ChildProcessError:\n"
+        "        print('no child left')\n"
+        "atexit.register(last)\n"
+    ) + MC_SETUP + (
+        "analysis._cpus = lambda: 3\n"
+        "for seed in (5, 6):\n"
+        "    analysis.monte_carlo_e(g, i_set, sched, 3000, seed)\n"
+        "ok = True\n"
+        "if sys.platform == 'linux':\n"
+        "    owner = {os.readlink(f'/proc/self/fd/{job_w}'): pid for pid, job_w, _ in analysis._helpers}\n"
+        "    for pid in owner.values():\n"
+        "        ends = [os.readlink(f'/proc/{pid}/fd/{fd}') for fd in os.listdir(f'/proc/{pid}/fd')]\n"
+        "        ok = ok and [owner[end] for end in ends if end in owner] == [pid]\n"
+        "print(ok, len(analysis._helpers))\n"
+    )
+    assert run_bare(code).splitlines()[-2:] == ["True 2", "no child left"]
 
 
 def test_mc_e_command_loads_no_hashlib(tmp_path):
