@@ -12,25 +12,26 @@ config lists, each Monte Carlo trial on a seed derived from the master
 seed by hashing, and results keep cell and trial order, however many
 processes run the trials.  The first Monte Carlo call that splits its
 trials forks helper processes; they serve every later call, idle in
-between, until the process that forked them exits.
+between, until the process that forked them exits.  Each job a helper
+reads and each reply it writes is one marshal value on a pipe.
 
 Importing this module forks nothing and loads neither _blake2 nor
-fractions, json, signal, array or atexit: each is imported by the
-functions that use it.  The trial seeds
-hash with _blake2, CPython's built-in BLAKE2 (the same blake2b that
-hashlib re-exports), so no hitlab process imports hashlib, whose import
-maps OpenSSL's libcrypto.
+fractions, json, signal or atexit: each is imported by the functions
+that use it.  The trial seeds hash with _blake2, CPython's built-in
+BLAKE2 (the same blake2b that hashlib re-exports), so no hitlab process
+imports hashlib, whose import maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
 
+import marshal  # importlib loads it at start-up, so this import costs nothing
 import math
 import os
 import random
 import sys
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, BinaryIO, Callable, Optional
 
 from .errors import ConfigError, HitlabError, InfeasibleParamsError, PreconditionError, VerificationFailure
 from .graph import (
@@ -332,14 +333,11 @@ def monte_carlo_e(
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
-    _, s_j = bin_and_select(g, i_set, sched)
+    degree = _outside_degrees(g, i_set, sched)
     k = sched.k
     if k > i_set.size:
         raise PreconditionError(f"cannot sample k={k} from |I|={i_set.size}")
-    i_bits = i_set.bits
-    outside = ((1 << g.n) - 1) & ~(i_bits | s_j.bits)
-    degree = {v: (g.adj[v] & i_bits).bit_count() for v in iter_bits(outside)}
-    job = (g.n, g.adj, i_set.members(), k, sched.s, sched.t, outside, degree, seed)
+    job = (g.adj, i_set.members(), k, sched.s, sched.t, degree, seed)
     samples = _run_ranges(job, _trial_ranges(trials))
     total = sum(samples)
     mean = total / trials
@@ -351,11 +349,11 @@ def monte_carlo_e(
     return McEstimate(mean=mean, std_error=std_error, samples=tuple(samples))
 
 
-def _trials(n, adj, members, k, s, t, outside, degree, seed, lo, hi) -> list[int]:
+def _trials(adj, members, k, s, t, degree, seed, lo, hi) -> list[int]:
     """The samples of monte_carlo_e's trials lo..hi-1, from plain data a
     helper can receive: the graph's rows, I, the schedule's k, s and t,
-    the outside vertices as a mask and their I-degrees, and the master seed."""
-    g = Graph(n, adj)
+    the I-degrees of the vertices outside I and S_j, and the master seed."""
+    g = Graph(len(adj), adj)
     prefix = _seed_prefix(seed, "mc-e")
     base_e = sum(degree.values())
     rng = random.Random()
@@ -367,8 +365,8 @@ def _trials(n, adj, members, k, s, t, outside, degree, seed, lo, hi) -> list[int
         i_j = _draw_bits(rng, members, k)
         e = e_of.get(i_j)
         if e is None:
-            k_bits = build_K(g, VertexSet(n, i_j), s, t).bits & outside
-            e = e_of[i_j] = base_e - sum(degree[v] for v in iter_bits(k_bits))
+            k_bits = build_K(g, VertexSet(g.n, i_j), s, t).bits  # K misses I, and S_j is not in `degree`
+            e = e_of[i_j] = base_e - sum(degree.get(v, 0) for v in iter_bits(k_bits))
         samples.append(e)
     return samples
 
@@ -376,8 +374,8 @@ def _trials(n, adj, members, k, s, t, outside, degree, seed, lo, hi) -> list[int
 # A fork, exit and reap of a 21-22 MB interpreter costs 1.5-2 ms on a
 # 2-CPU host and a trial about 8 us, so a helper pays for a first call's
 # fork from several hundred trials on; later calls pay a pipe round trip
-# of about 13 us.  The bar stays at 1,000 trials, so that mc-e's default
-# of 100 trials never forks.
+# of 25-30 us (11 us with both processes on one CPU).  The bar stays at
+# 1,000 trials, so that mc-e's default of 100 trials never forks.
 _MIN_TRIALS_PER_PROCESS = 1000
 
 
@@ -404,47 +402,39 @@ def _trial_ranges(trials: int) -> list[tuple[int, int]]:
 
 
 # The helpers this process forked for monte_carlo_e, as (pid, write end of
-# its job pipe, read end of its reply pipe), in range order, each idle and
-# in step: no job in flight, nothing unread.  _helpers_pid is the process
-# that forked them.  They serve every call until that process exits.
-_helpers: list[tuple[int, int, int]] = []
+# its job pipe, read end of its reply pipe as a file), in range order, each
+# idle and in step: no job in flight, nothing unread.  _helpers_pid is the
+# process that forked them.  They serve every call until that process exits.
+_helpers: list[tuple[int, int, BinaryIO]] = []
 _helpers_pid: Optional[int] = None
-_DONE, _RAISED = b"\0", b"\1"  # a reply's first byte: the samples follow, or the range raised
 
 
 def _run_ranges(job: tuple, ranges: list[tuple[int, int]]) -> list[int]:
     """_trials(*job, lo, hi) over each range, concatenated in range order.
 
-    This process runs the first range and a helper each later one, sent
-    as one length-prefixed marshal message and answered with 64-bit
-    integers.  A range whose helper could not be started, died, sent a
-    short reply or raised is rerun here, so an error is raised at the
+    This process runs the first range and a helper each later one; the job
+    and the reply, the samples or None if the range raised, are each one
+    marshal value.  A range whose helper could not be started, died, sent
+    a short reply or raised is rerun here, so an error is raised at the
     trial, and with the message, of the serial loop.  A helper with a job
     in flight when this process raises is killed and reaped.
     """
-    import marshal
-    from array import array
-
     parts = [None] * len(ranges)
     sent = []  # (range index, helper) whose reply is not yet read
     try:
         for i, helper in enumerate(_start_helpers(len(ranges) - 1), 1):
-            msg = marshal.dumps(job + ranges[i])
             sent.append((i, helper))
             try:
-                _write(helper[1], len(msg).to_bytes(8, "little") + msg)
+                _write(helper[1], job + ranges[i])
             except BrokenPipeError:  # it died since _start_helpers looked
                 sent.pop()
                 _drop(helper)
         parts[0] = _trials(*job, *ranges[0])
         while sent:
             i, helper = sent[0]
-            size = 8 * (ranges[i][1] - ranges[i][0])
-            status = _read(helper[2], 1)
-            data = _read(helper[2], size) if status == _DONE else b""
-            if len(data) == size:
-                parts[i] = array("q", data)
-            elif status != _RAISED:  # it died or sent a short reply
+            try:
+                parts[i] = marshal.loads(marshal.load(helper[2]))
+            except (EOFError, ValueError):  # it died or sent a short reply
                 _drop(helper)
             del sent[0]
     finally:
@@ -456,7 +446,7 @@ def _run_ranges(job: tuple, ranges: list[tuple[int, int]]) -> list[int]:
     return samples
 
 
-def _start_helpers(count: int) -> list[tuple[int, int, int]]:
+def _start_helpers(count: int) -> list[tuple[int, int, BinaryIO]]:
     """The first `count` helpers, forking any missing (fewer if a fork
     fails); one that died since the last call is reaped and replaced."""
     global _helpers_pid
@@ -484,60 +474,53 @@ def _start_helpers(count: int) -> list[tuple[int, int, int]]:
             _serve(*fds)
         os.close(job_r)
         os.close(reply_w)
-        _helpers.append((pid, job_w, reply_r))
+        _helpers.append((pid, job_w, os.fdopen(reply_r, "rb")))
     return _helpers[:count]
 
 
 def _serve(job_r: int, job_w: int, reply_r: int, reply_w: int) -> None:
-    """A helper's loop: read a job, send back its samples or _RAISED, until
-    the job pipe reaches end of file.  It ignores SIGINT, which a terminal
-    sends to the whole process group, writes nothing to stdout or stderr,
-    and leaves only by os._exit, which skips its owner's exit handlers and
-    buffered output."""
+    """A helper's loop: read a job, send back its samples, or None if the
+    range raised, until the job pipe reaches end of file.  It ignores
+    SIGINT, which a terminal sends to the whole process group, writes
+    nothing to stdout or stderr, and leaves only by os._exit, which skips
+    its owner's exit handlers and buffered output."""
     code = 1
     try:
-        import marshal
         import signal
-        from array import array
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(job_w)
         os.close(reply_r)
-        while head := _read(job_r, 8):
-            job = marshal.loads(_read(job_r, int.from_bytes(head, "little")))
+        jobs = os.fdopen(job_r, "rb")
+        while jobs.peek(1):  # empty once the owner closes the job pipe
+            job = marshal.loads(marshal.load(jobs))
             try:
-                reply = _DONE + array("q", _trials(*job)).tobytes()
+                reply = _trials(*job)
             except Exception:  # the owner reruns the range and raises it there
-                reply = _RAISED
+                reply = None
             _write(reply_w, reply)
         code = 0
     finally:
         os._exit(code)
 
 
-def _read(fd: int, size: int) -> bytes:
-    """size bytes from a pipe, or fewer at end of file."""
-    parts = []
-    while size and (part := os.read(fd, size)):
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
+def _write(fd: int, value) -> None:
+    """Write `value` to a pipe as one marshal value, the bytes of its own dump:
+    marshal.load reads bytes from a file in one call, but any other value
+    with a call per type code, length and 15-bit digit of an integer."""
+    view = memoryview(marshal.dumps(marshal.dumps(value)))
     while view:
         view = view[os.write(fd, view):]
 
 
-def _forget(helper: tuple[int, int, int]) -> None:
+def _forget(helper: tuple[int, int, BinaryIO]) -> None:
     """Take a helper out of _helpers and close this process's ends of its pipes."""
     _helpers.remove(helper)
     os.close(helper[1])
-    os.close(helper[2])
+    helper[2].close()
 
 
-def _drop(helper: tuple[int, int, int]) -> None:
+def _drop(helper: tuple[int, int, BinaryIO]) -> None:
     """Forget a helper that is out of step, then kill and reap it."""
     import signal
 
@@ -593,13 +576,17 @@ def expected_residual_edges(g: Graph, i_set: VertexSet, sched: ParamSchedule) ->
     its I-degree weighted by its hypergeometric escape probability."""
     from fractions import Fraction
 
-    _, s_j = bin_and_select(g, i_set, sched)
-    outside = ((1 << g.n) - 1) & ~(i_set.bits | s_j.bits)
     total = Fraction(0)
-    for v in iter_bits(outside):
-        d = (g.adj[v] & i_set.bits).bit_count()
+    for d in _outside_degrees(g, i_set, sched).values():
         total += hypergeom_tail(i_set.size, d, sched.k, sched.s) * d
     return total
+
+
+def _outside_degrees(g: Graph, i_set: VertexSet, sched: ParamSchedule) -> dict[int, int]:
+    """The I-degree of each vertex outside I and S_j, the vertices e counts, by id."""
+    _, s_j = bin_and_select(g, i_set, sched)
+    outside = ((1 << g.n) - 1) & ~(i_set.bits | s_j.bits)
+    return {v: (g.adj[v] & i_set.bits).bit_count() for v in iter_bits(outside)}
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +629,18 @@ def _config_int(value, what: str) -> int:
     raise ConfigError(f"{what}: {value!r} is not an integer")
 
 
+def _config_float(value, what: str) -> float:
+    """A real config value: a JSON number, as a float.  A bool, a string,
+    an integer past the float range or any other value is a ConfigError."""
+    if isinstance(value, float):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ConfigError(f"{what}: an integer of {value.bit_length()} bits is past the float range")
+    raise ConfigError(f"{what}: {value!r} is not a number")
+
+
 def _config_ints(values, what: str) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{what}: {values!r} is not a list of integers")
@@ -668,23 +667,16 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(families, list) or not all(isinstance(f, dict) for f in families):
         raise ConfigError("families must be a list of objects")
     for f in families:
-        try:
-            _family_builder(f)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"family {f.get('kind')!r} needs numeric parameters") from None
+        _family_builder(f)
     schedule = raw.get("schedule", {"mode": "auto", "s": 2, "t": 2, "k": 2})
     if not isinstance(schedule, dict):
         raise ConfigError("schedule must be an object")
-    for key in ("s", "t", "k"):
-        if key in schedule:
-            _config_int(schedule[key], f"schedule {key}")
-    try:
-        float(schedule.get("delta", 0.5))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("schedule delta must be a number") from None
+    _schedule_fields(schedule)
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps must be an object")
+    if not caps.keys() <= _DEFAULT_CAPS.keys():
+        raise ConfigError(f"caps: the keys must be among {list(_DEFAULT_CAPS)}, got {list(caps)}")
     return ExperimentConfig(
         families=tuple(families),
         n_values=_config_ints(raw.get("n_values", []), "n_values"),
@@ -712,12 +704,12 @@ def _family_builder(family: dict) -> tuple[str, Optional[int], Callable[[int, in
 
         return f"cluster:q{q}", None, build
     if kind == "gnp":
-        p = float(family.get("p", -1.0))
+        p = _config_float(family.get("p", -1.0), "gnp p")
         if not 0.0 <= p <= 1.0:
             raise ConfigError("gnp family needs p in [0,1]")
         return f"gnp:{p}", None, lambda n, seed: gen_gnp(n, p, seed)
     if kind == "c4free":
-        m_frac = float(family.get("m_frac", -1.0))
+        m_frac = _config_float(family.get("m_frac", -1.0), "c4free m_frac")
         if not 0.0 <= m_frac <= 1.0:
             raise ConfigError("c4free family needs m_frac in [0,1]")
         return (
@@ -740,28 +732,35 @@ def resolve_schedule(g: Graph, raw: dict) -> ParamSchedule:
     stays on the sampled-core branch.  mode asymptotic: the textbook
     point, which has no concrete bins, so InfeasibleParamsError.
     """
-    mode = raw.get("mode", "explicit")
-    s = _config_int(raw.get("s", 2), "schedule s")
-    t = _config_int(raw.get("t", 2), "schedule t")
+    mode, s, t, k, delta, bins = _schedule_fields(raw)
     if mode == "asymptotic":
-        report = asymptotic_schedule(g.n, s, t, float(raw.get("delta", 0.5)))
+        report = asymptotic_schedule(g.n, s, t, delta)
         why = "is informational only" if report.feasible else "infeasible at this n"
         raise InfeasibleParamsError(f"asymptotic schedule {why}; supply explicit bins")
-    k = _config_int(raw.get("k", 2), "schedule k")
     if mode == "auto":
-        if "delta" in raw:
-            delta = float(raw["delta"])
-        else:
+        if "delta" not in raw:
             _, d = min_degree_vertex(g)
             delta = (d + 0.5) / g.n
         return ParamSchedule(s=s, t=t, delta=delta, k=k, bins=auto_bins(delta))
-    if mode != "explicit":
+    return ParamSchedule(s=s, t=t, delta=delta, k=k, bins=bins)
+
+
+def _schedule_fields(raw: dict) -> tuple:
+    """(mode, s, t, k, delta, bins) of a schedule stanza, each checked as a
+    JSON value; bins are read in explicit mode only, delta defaults to 0.5."""
+    mode = raw.get("mode", "explicit")
+    if mode not in ("explicit", "auto", "asymptotic"):
         raise ConfigError(f"unknown schedule mode {mode!r}")
-    try:
-        bins = tuple((float(lo), float(hi)) for lo, hi in raw.get("bins", []))
-    except (TypeError, ValueError):
-        raise ConfigError("explicit schedule needs bins as [lo, hi] pairs") from None
-    return ParamSchedule(s=s, t=t, delta=float(raw.get("delta", 0.5)), k=k, bins=bins)
+    s, t, k = (_config_int(raw.get(key, 2), f"schedule {key}") for key in ("s", "t", "k"))
+    delta = _config_float(raw.get("delta", 0.5), "schedule delta")
+    bins = ()
+    if mode == "explicit":
+        try:
+            bins = tuple((_config_float(lo, "schedule bins"), _config_float(hi, "schedule bins"))
+                         for lo, hi in raw.get("bins", []))
+        except (TypeError, ValueError):
+            raise ConfigError("explicit schedule needs bins as [lo, hi] pairs") from None
+    return mode, s, t, k, delta, bins
 
 
 def _run_cell(label, builder, n, seed, schedule_raw, caps) -> ExperimentRecord:
@@ -777,8 +776,7 @@ def _run_cell(label, builder, n, seed, schedule_raw, caps) -> ExperimentRecord:
     try:
         g = clock("gen", lambda: builder(n, seed))
         rec.n = g.n
-        s = int(schedule_raw.get("s", 2))
-        t = int(schedule_raw.get("t", 2))
+        _, s, t, *_ = _schedule_fields(schedule_raw)
         witness = clock("freeness", lambda: find_induced_kst(g, s, t))
         if witness is not None:
             rec.error = f"not induced-K_{{{s},{t}}}-free: {witness.side_a}/{witness.side_b}"

@@ -3,14 +3,15 @@
 Every subcommand is a thin adapter around one library call; results are
 identical to calling the function directly with the same seed.  Errors
 go to stderr as `error:<kind>: message` and map onto the exit codes
-0 success, 1 usage or parse, 2 precondition (witness printed when one
-exists), 3 infeasible parameters, 4 verification failure.
+0 success, 1 usage, parse or closed output, 2 precondition (witness
+printed when one exists), 3 infeasible parameters, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .analysis import (
@@ -425,7 +426,15 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error:output: stdout was closed before the output was written\n")
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

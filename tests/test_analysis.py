@@ -277,6 +277,17 @@ class TestAnalyticEBound:
         want = math.log(c * (1 - c) * n * n) + 4 * math.log1p(-q)
         assert a_l == pytest.approx(want, rel=1e-12)
 
+    def test_small_q_matches_the_log1p_form(self):
+        # q = theta_hi/(c n) = 8e-15 is below 1e-12, so ln(1-q) is taken as
+        # -q with a finite tail; the log1p form still holds there
+        n, c = 10**15, 0.25
+        sched = ParamSchedule(s=2, t=2, delta=0.5, k=3, bins=((1.0, 2.0),))
+        _, a_l = analytic_e_bound(n, c, sched, 1)
+        q = 2.0 / (c * n)
+        tail = sum(math.exp(x * math.log(3) + (3 - x) * math.log1p(-q)) for x in range(2))
+        want = math.log(c) + math.log1p(-c) + 2 * math.log(n) + math.log(tail)
+        assert math.isfinite(a_l) and a_l == pytest.approx(want, rel=1e-12)
+
     def test_preconditions(self):
         sched = ParamSchedule(s=2, t=2, delta=0.5, k=2, bins=((1.0, 2.0),))
         with pytest.raises(PreconditionError, match="c must lie"):
@@ -550,18 +561,19 @@ class TestMonteCarloSplit:
         forks, _ = split(2)
         assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want[0]
         (helper,) = analysis._helpers
+        ends = [helper[1], helper[2].fileno()]
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 # the child forgot the helper and closed its copies of the pipe ends
                 closed = []
-                for fd in helper[1:]:
+                for fd in ends:
                     try:
                         os.fstat(fd)
                     except OSError:
                         closed.append(fd)
-                ok = analysis._helpers == [] and closed == list(helper[1:])
+                ok = analysis._helpers == [] and closed == ends
                 # a call that splits forks the child's own helper
                 ok = ok and monte_carlo_e(g, i_set, sched, 601, 6).samples == want[1]
                 ok = ok and len(analysis._helpers) == 1 and helper_pids() != [helper[0]]
@@ -594,6 +606,13 @@ class TestMonteCarloSplit:
             release.set()
             waiter.join(timeout=60)
         assert not waiter.is_alive()
+
+    def test_cpus_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert analysis._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert analysis._cpus() == 1
 
     def test_small_calls_stay_in_one_process(self, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
@@ -670,6 +689,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape("seeds: '1' is not an integer")):
             load_config({"seeds": ["1"]})
         assert load_config({"seeds": [1, 2.0], "n_values": [6]}).seeds == (1, 2)
+
+    def test_reals_are_json_numbers(self):
+        with pytest.raises(ConfigError, match=re.escape("gnp p: True is not a number")):
+            load_config({"families": [{"kind": "gnp", "p": True}]})
+        with pytest.raises(ConfigError, match=re.escape("schedule delta: '0.3' is not a number")):
+            load_config({"schedule": {"mode": "auto", "delta": "0.3"}})
+        with pytest.raises(ConfigError, match="schedule bins: an integer of 1329 bits is past the float range"):
+            load_config({"schedule": {"mode": "explicit", "bins": [[1, int("9" * 400)]]}})
+        with pytest.raises(ConfigError, match="gnp p: an integer of 16610 bits"):
+            load_config({"families": [{"kind": "gnp", "p": 10**5000}]})
+        # an integer reads as the float it equals
+        assert _family_builder({"kind": "gnp", "p": 1})[0] == "gnp:1.0"
+        assert _family_builder({"kind": "c4free", "m_frac": 0})[0] == "c4free:0.0"
+
+    def test_mode_bins_and_caps_keys_are_checked_at_load(self):
+        with pytest.raises(ConfigError, match="unknown schedule mode 'foo'"):
+            load_config({"schedule": {"mode": "foo"}})
+        with pytest.raises(ConfigError, match="lo, hi"):
+            load_config({"schedule": {"mode": "explicit", "bins": [[1]]}})
+        want = "caps: the keys must be among ['minhit_n', 'enum_n'], got ['minhit']"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            load_config({"caps": {"minhit": 10}})
+        # an asymptotic schedule is refused per cell: its message depends on n
+        assert load_config({"schedule": {"mode": "asymptotic"}}).schedule == {"mode": "asymptotic"}
 
     def test_families_shape(self):
         with pytest.raises(ConfigError, match="list of objects"):

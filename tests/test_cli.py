@@ -30,12 +30,15 @@ def cli(capsys, *argv):
     return code, out, err
 
 
-def python_dash_m(module, *argv, timeout=60):
+def src_env():
+    """os.environ with this checkout's src first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(hitlab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def python_dash_m(module, *argv, timeout=60):
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=src_env(), timeout=timeout
     )
 
 
@@ -99,6 +102,18 @@ class TestTopLevel:
         proc = python_dash_m("hitlab", "verify", "--graph", "/nonexistent", "--set", "0")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:parse:")
+
+    def test_a_reader_that_stops_early_gets_one_error_line(self, tmp_path):
+        # 3^8 maximum independent sets, about 130 KB: more than a pipe holds,
+        # so the command is still writing when the reader closes its end
+        graph = write_graph(tmp_path, "cluster.el", gen_cluster([3] * 8))
+        argv = [sys.executable, "-X", "dev", "-m", "hitlab", "mis", "--graph", graph, "--mode", "enumerate"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env()) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert first == b"alpha: 8\n"
+        assert (proc.returncode, err) == (1, b"error:output: stdout was closed before the output was written\n")
 
     def test_one_parser_serves_every_call(self, capsys, c5_path, tmp_path):
         # a flag given to one call must not leak into the next
@@ -748,6 +763,22 @@ def _cert_with(key, value):
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"enum_n": " 4 "}}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"seeds": ["1_000"]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "cluster", "sizes": "33"}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "gnp", "p": true}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"families": [{"kind": "c4free", "m_frac": "0.1"}]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"mode": "auto", "delta": "0.3"}'}),
+        (["experiment", "--config", "{dir}/x.json"],
+         {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "bins": [["1", "2"]]}'}),
+        (["experiment", "--config", "{dir}/x.json"],
+         {"x.json": SWEEP_CONFIG % ('{"mode": "explicit", "bins": [[1, 1%s]]}' % ("0" * 400))}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"mode": "foo"}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "bins": [[1]]}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"minhit": 10}}'}),
+        (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % "[]"}),
+        (["hit", "--graph", "{c5}", "--theta", "1:x", "--delta", "0.5"], {}),
+        (["schedule", "--n", "100", "--s", "3", "--t", "2"], {}),
+        (["drc", "--graph", "{dir}/empty.el", "--alpha-density", "0.5"], {"empty.el": "0 0\n"}),
+        (["drc", "--graph", "{c5}", "--alpha-density", "1e-17", "--sharp-beta"], {}),
+        (["mis", "--graph", "{dir}/short.dimacs"], {"short.dimacs": "p edge 3\n"}),
         (["hit", "--graph", "{dir}/c7.el", "--schedule", "auto", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["mc-e", "--graph", "{dir}/c7.el", "--delta", "1e-8"], {"c7.el": C7_TEXT}),
         (["schedule", "--n", "100", "--delta", "1e-8"], {}),
@@ -771,6 +802,10 @@ def _cert_with(key, value):
         "config-not-utf-8", "seeds-fractional", "seeds-boolean", "n-values-fractional", "cap-fractional",
         "schedule-s-fractional", "cluster-q-fractional", "cluster-sizes-fractional", "seeds-string", "n-values-string",
         "cluster-q-string", "cap-string", "seeds-underscored-string", "cluster-sizes-string",
+        "gnp-p-boolean", "c4free-m-frac-string", "schedule-delta-string", "schedule-bins-strings",
+        "schedule-bins-past-the-float-range", "schedule-mode-unknown", "schedule-bins-malformed", "caps-key-unknown",
+        "schedule-not-object", "hit-theta-not-numeric", "schedule-s-above-t", "drc-empty-graph",
+        "drc-beta-underflow", "dimacs-short-problem-line",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",
         "path-huge-n", "gnp-huge-n", "cluster-huge-n", "c4free-huge-pairs", "hit-h-over-digit-limit",
         "hit-h-astronomical", "prob-i-size-above-the-ceiling",

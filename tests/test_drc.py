@@ -145,6 +145,11 @@ class TestDrcClique:
             drc_clique(g, alpha_density=0.0)
         with pytest.raises(PreconditionError):
             drc_clique(g, alpha_density=1.5)
+        with pytest.raises(PreconditionError, match="empty graph"):
+            drc_clique(Graph(0, ()), alpha_density=0.5)
+        # 1 - sqrt(1 - 1e-17) rounds to 0
+        with pytest.raises(PreconditionError, match="beta underflowed"):
+            drc_clique(g, alpha_density=1e-17, sharp_beta=True)
 
     def test_induced_c4_raises_witness(self):
         c4 = gen_cycle(4)

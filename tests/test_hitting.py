@@ -80,6 +80,8 @@ class TestParamSchedule:
             simple_sched(s=3, t=2)
         with pytest.raises(PreconditionError):
             simple_sched(s=0, t=2)
+        with pytest.raises(PreconditionError, match="integers"):
+            simple_sched(s=1.5, t=2)
 
     def test_rejects_bad_delta_and_c(self):
         for delta in (0.0, 1.0, -0.3):
@@ -146,12 +148,17 @@ class TestAsymptoticSchedule:
         assert sched.num_bins == 400
         assert any(v == math.inf for v in sched.log_ks)
         assert not sched.feasible
+        # 10*s past the float range: the base of the powers is inf
+        sched = asymptotic_schedule(3, 10**400, 10**400, 0.5)
+        assert sched.log_ks == (math.inf,) * 4 and sched.log_bins == ((-math.inf, -math.inf),) * 4
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             asymptotic_schedule(2, 2, 2, 0.5)
         with pytest.raises(PreconditionError):
             asymptotic_schedule(100, 2, 2, 1.0)
+        with pytest.raises(PreconditionError, match="1 <= s <= t"):
+            asymptotic_schedule(100, 3, 2, 0.5)
         with address_space_cap(), pytest.raises(PreconditionError, match="bins"):
             asymptotic_schedule(100, 2, 2, 1e-8)
 
@@ -163,6 +170,8 @@ class TestClosedNeighborhood:
         assert cert.center == 0
         assert cert.T.members() == (0, 1, 4)
         assert verify_hitting_set(c5, cert.T)
+        with pytest.raises(PreconditionError, match="no residual set in mode 'low-degree'"):
+            residual_edges(c5, cert)
 
     def test_any_center_hits_everything(self):
         # a MIS avoiding N[v] could absorb v, so every center works

@@ -74,11 +74,11 @@ def test_every_imported_name_is_used():
 
 # modules a hitlab import leaves to the first call that needs them: _blake2
 # hashes the Monte Carlo seeds alone, fractions (and through it decimal)
-# serves the exact audits, json the config reader, and signal, array and
-# atexit the Monte Carlo helper processes, which the first call that
-# splits forks; no hitlab call loads hashlib or its _hashlib, whose import
-# maps OpenSSL
-DEFERRED = ("hashlib", "_hashlib", "_blake2", "fractions", "decimal", "json", "signal", "array", "atexit")
+# serves the exact audits, json the config reader, and signal and atexit
+# the Monte Carlo helper processes, which the first call that splits
+# forks; no hitlab call loads hashlib or its _hashlib, whose import maps
+# OpenSSL
+DEFERRED = ("hashlib", "_hashlib", "_blake2", "fractions", "decimal", "json", "signal", "atexit")
 
 
 def run_bare(code: str) -> str:
@@ -142,7 +142,8 @@ MC_SETUP = (
 
 def test_monte_carlo_split_over_two_cpus_loads_no_hashlib():
     # 3,000 trials on two CPUs, twice: this process runs trials 0-1499 and
-    # one helper process the rest, forked by the first call and reused
+    # one helper process the rest, forked by the first call and reused.
+    # The jobs and replies are marshal values, so array is not loaded
     code = MC_SETUP + (
         "forks = []\n"
         "fork = os.fork\n"
@@ -150,7 +151,7 @@ def test_monte_carlo_split_over_two_cpus_loads_no_hashlib():
         "analysis._cpus = lambda: 2\n"
         "runs = [analysis.monte_carlo_e(g, i_set, sched, 3000, seed).samples for seed in (5, 6)]\n"
         "seeds = [analysis.derive_seed(5, i, 'mc-e') for i in (0, 1499, 1500, 2999)]\n"
-        "print(repr((len(forks), seeds, runs, sorted({'hashlib', '_hashlib'} & set(sys.modules)))))\n"
+        "print(repr((len(forks), seeds, runs, sorted({'hashlib', '_hashlib', 'array'} & set(sys.modules)))))\n"
     )
     forks, seeds, runs, loaded = ast.literal_eval(run_bare(code))
     g = gen_c4_free_process(40, 78, 0)

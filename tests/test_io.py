@@ -91,6 +91,8 @@ def test_dimacs_errors():
         parse_dimacs("e 1 2\np edge 3 1\n")
     with pytest.raises(GraphFormatError, match="duplicate"):
         parse_dimacs("p edge 3 0\np edge 3 0\n")
+    with pytest.raises(GraphFormatError, match="must be 'p edge n m'"):
+        parse_dimacs("p edge 3\n")
     with pytest.raises(GraphFormatError, match="unknown line"):
         parse_dimacs("p edge 3 0\nq 1 2\n")
     with pytest.raises(GraphFormatError):
@@ -119,3 +121,5 @@ def test_load_and_save_auto_detect(tmp_path):
         load_graph(str(tmp_path / "absent.el"))
     with pytest.raises(GraphFormatError, match="unknown format"):
         load_graph(str(el), fmt="gml")
+    with pytest.raises(GraphFormatError, match="unknown format"):
+        save_graph(g, str(tmp_path / "g.gml"), fmt="gml")
