@@ -659,7 +659,7 @@ def load_config(source) -> ExperimentConfig:
                 raw = json.load(fh)
         except (OSError, UnicodeDecodeError) as ex:
             raise ConfigError(f"cannot read config: {ex}") from None
-        except json.JSONDecodeError as ex:
+        except ValueError as ex:  # a JSONDecodeError, or an integer past the int-to-text digit limit
             raise ConfigError(f"config is not valid JSON: {ex}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

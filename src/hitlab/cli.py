@@ -75,10 +75,6 @@ def _fmt_name(flag: str) -> str:
     return "edgelist" if flag == "edge-list" else flag
 
 
-def _load(args) -> Graph:
-    return load_graph(args.graph, fmt=_fmt_name(args.format))
-
-
 def _parse_theta(pairs: list[str]) -> tuple[tuple[float, float], ...]:
     out = []
     for raw in pairs:
@@ -167,8 +163,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_check_free(args) -> int:
-    g = _load(args)
+def _cmd_check_free(args, g: Graph) -> int:
     emb = find_induced_kst(g, args.s, args.t)
     if emb is None:
         print(f"free: no induced K_{{{args.s},{args.t}}}")
@@ -178,8 +173,7 @@ def _cmd_check_free(args) -> int:
     raise FreenessViolationError(f"graph contains an induced K_{{{args.s},{args.t}}}", emb)
 
 
-def _cmd_mis(args) -> int:
-    g = _load(args)
+def _cmd_mis(args, g: Graph) -> int:
     if args.mode == "alpha":
         alpha, witness = alpha_with_witness(g)
         print(f"alpha: {alpha}")
@@ -197,16 +191,14 @@ def _cmd_mis(args) -> int:
     return 0
 
 
-def _cmd_hit(args) -> int:
-    g = _load(args)
+def _cmd_hit(args, g: Graph) -> int:
     sched = _schedule(g, args)
     cert = construct_hitting_set(g, sched, args.seed, allow_trivial=args.allow_trivial)
     _write_or_print(certificate_to_text(cert), args.out)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    g = _load(args)
+def _cmd_verify(args, g: Graph) -> int:
     if (args.cert is None) == (args.set is None):
         raise _UsageError("verify needs exactly one of --cert or --set")
     if args.cert is not None:
@@ -223,16 +215,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_minhit(args) -> int:
-    g = _load(args)
+def _cmd_minhit(args, g: Graph) -> int:
     size, witness = min_hitting_set(g)
     print(size)
     print(f"witness: {_ids(witness)}")
     return 0
 
 
-def _cmd_sample_hit(args) -> int:
-    g = _load(args)
+def _cmd_sample_hit(args, g: Graph) -> int:
     res = sample_hitting_set(g, args.p, args.seed, args.trials, cap=args.cap)
     print(f"p: {res.p}")
     print(f"trials: {res.trials}")
@@ -245,8 +235,7 @@ def _cmd_sample_hit(args) -> int:
     return 0
 
 
-def _cmd_drc(args) -> int:
-    g = _load(args)
+def _cmd_drc(args, g: Graph) -> int:
     trace = drc_clique(g, args.alpha_density, sharp_beta=args.sharp_beta)
     _write_or_print(trace_to_text(trace), args.out)
     return 0
@@ -276,8 +265,7 @@ def _cmd_prob(args) -> int:
     return 0
 
 
-def _cmd_mc_e(args) -> int:
-    g = _load(args)
+def _cmd_mc_e(args, g: Graph) -> int:
     sched = _schedule(g, args)
     alpha, i_set = alpha_with_witness(g)
     if sched.k > alpha:
@@ -417,6 +405,8 @@ def dispatch(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "run", None) is None:
             raise _UsageError("a subcommand is required (see --help)")
+        if "graph" in args:  # declared by _add_graph_arg; each such command starts from its graph
+            return args.run(args, load_graph(args.graph, fmt=_fmt_name(args.format)))
         return args.run(args)
     except SystemExit as ex:  # --help
         return int(ex.code or 0)

@@ -29,6 +29,17 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def union_rows(rows, mask: int) -> int:
+    """The union of rows[v] over the set bits v of `mask`: with adjacency
+    rows, the vertices adjacent to some member of `mask`."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 class Record:
     """An immutable value whose fields are its class's __slots__.
 

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     VerificationFailure,
 )
-from .graph import Graph, InducedEmbedding, Record, VertexSet, iter_bits, min_degree_vertex, replace
+from .graph import Graph, InducedEmbedding, Record, VertexSet, iter_bits, min_degree_vertex, replace, union_rows
 from .io import INT, TEXT, VERTEX, VERTICES, format_record, optional, parse_record
 from .mis import ENUM_CAP_DEFAULT, _alpha, _full_pool, _independent_sets, alpha_with_witness, count_mis
 from .mis import first_missed, has_independent, independence_check
@@ -366,10 +366,7 @@ def construct_hitting_set(
     r_bits = full & ~(i_set.bits | k_set.bits | s_j.bits)
     r_set = VertexSet(g.n, r_bits)
     h_set = choose_H(g, i_set, r_set, h_size)
-    nh_bits = 0
-    for h in iter_bits(h_set.bits):
-        nh_bits |= g.adj[h]
-    nh_set = VertexSet(g.n, nh_bits & r_bits)
+    nh_set = VertexSet(g.n, union_rows(g.adj, h_set.bits) & r_bits)
     t_set = VertexSet(g.n, h_set.bits | nh_set.bits | s_j.bits)
     return HittingCertificate(
         mode=MODE_SAMPLED_CORE,
@@ -442,10 +439,7 @@ def _components(adj, pool: int) -> list[int]:
     while pool:
         comp = frontier = pool & -pool
         while frontier:
-            reach = 0
-            for v in iter_bits(frontier):
-                reach |= adj[v]
-            frontier = reach & pool & ~comp
+            frontier = union_rows(adj, frontier) & pool & ~comp
             comp |= frontier
         pool ^= comp
         comps.append(comp)
@@ -699,10 +693,7 @@ def validate_certificate(g: Graph, cert: HittingCertificate, sched: Optional[Par
     if not independence_check(g, cert.I):
         fail("I is not independent")
     r_bits = ((1 << g.n) - 1) & ~(cert.I.bits | cert.K.bits | cert.S_j.bits)
-    nh = 0
-    for h in iter_bits(cert.H.bits):
-        nh |= g.adj[h]
-    if cert.NH.bits != nh & r_bits:
+    if cert.NH.bits != union_rows(g.adj, cert.H.bits) & r_bits:
         fail("NH is not N(H) restricted to the residual set")
     if cert.size_accounting != (cert.H.size, cert.NH.size, cert.S_j.size):
         fail("size accounting out of sync")

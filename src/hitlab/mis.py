@@ -69,11 +69,12 @@ neighbour with v there (the lowest neighbour when none does), then grows
 by lowest common neighbours.  The later classes, whose vertices are
 tested, keep the plain rule.  A node looks past v's lowest neighbour
 only when that one closes no triangle and two more are left, and then
-only at v's neighbours that share a neighbour with v in the root pool
-(`_triangle_mates`).  Those are computed the first time a node needs
-them for v and kept for the search: computing them for every vertex at
-the root would cost O(m) per search, which searches that end at the
-root, as on split and interval graphs, never repay.
+only at v's neighbours that share a neighbour with v in the root pool:
+`tri[v]`, v's row met with the union of its neighbours' rows.  Those are
+computed the first time a node needs them for v and kept for the search:
+computing them for every vertex at the root would cost O(m) per search,
+which searches that end at the root, as on split and interval graphs,
+never repay.
 
 The clique cover caps every search: it is taken after the greedy set
 whether or not that beats the floor, so a decision at floor alpha ends
@@ -125,7 +126,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .errors import EnumerationCapError, PreconditionError
-from .graph import Graph, Record, VertexSet, iter_bits
+from .graph import Graph, Record, VertexSet, iter_bits, union_rows
 
 ENUM_CAP_DEFAULT = 48
 
@@ -354,18 +355,6 @@ def _refuted(rows, low: int, live: list[int], live_bits: int, colour: list[int])
         nb, by = rows[(alive & live[i]).bit_length() - 1], 1 << i
 
 
-def _triangle_mates(rows, v: int) -> int:
-    """v's neighbours that share a neighbour with v: the second vertices
-    that can close a triangle on a class started at v."""
-    row = m = rows[v]
-    reach = 0
-    while m:
-        low = m & -m
-        m ^= low
-        reach |= rows[low.bit_length() - 1]
-    return reach & row
-
-
 def _branch_vertices(rows, pool: int, kmin: int, colour: list[int],
                      tri: list[Optional[int]]) -> list[tuple[int, int]]:
     """(bit, bound) of the vertices a node branches on, in colour order,
@@ -377,9 +366,10 @@ def _branch_vertices(rows, pool: int, kmin: int, colour: list[int],
     they can; a vertex of a later class is kept unless `_refuted` finds a
     conflict, whose reason then leaves the live set (the module docstring
     has the rules and the argument).  `colour` is working space of
-    len(rows) entries and `tri[v]` caches `_triangle_mates(rows, v)`,
-    filled the first time a class started at v looks past v's lowest
-    neighbour; `_alpha` allocates both once for all its nodes.
+    len(rows) entries and `tri[v]` caches v's neighbours that share a
+    neighbour with v in the root pool, filled the first time a class
+    started at v looks past v's lowest neighbour; `_alpha` allocates both
+    once for all its nodes.
     """
     live, count, rest = [], 0, pool
     while rest and count < kmin:
@@ -391,10 +381,11 @@ def _branch_vertices(rows, pool: int, kmin: int, colour: list[int],
             low = near & -near
             clique = near & rows[low.bit_length() - 1]
             if not clique and near.bit_count() > 2:
-                # the lowest neighbour closes no triangle; two later ones may
+                # the lowest neighbour closes no triangle; two later ones may,
+                # and only v's neighbours that share a neighbour with v can
                 mates = tri[v]
                 if mates is None:
-                    mates = tri[v] = _triangle_mates(rows, v)
+                    mates = tri[v] = union_rows(rows, rows[v]) & rows[v]
                 mates &= near
                 while mates:
                     w = mates & -mates
@@ -491,9 +482,7 @@ def _alpha(adj, pool: int, floor: int, goal: int) -> int:
             # over half the child is dirty already, so it cannot peel
             dirty = child
         else:
-            for u in iter_bits(pool & row):
-                dirty |= rows[u]
-            dirty &= child
+            dirty = (dirty | union_rows(rows, pool & row)) & child
         stack.append([child, size + 1, None, dirty])
     return best + taken
 

@@ -224,7 +224,7 @@ class TestAnalyticEBound:
         assert math.exp(a_l) == pytest.approx(9.6, rel=1e-12)
 
     @pytest.mark.parametrize("n", [20, 60])
-    @pytest.mark.parametrize("c", [0.2, 0.45])
+    @pytest.mark.parametrize("c", [0.2, 0.45, 1.0])  # at c = 1 both bounds vanish
     @pytest.mark.parametrize("k,s", [(2, 1), (3, 2), (5, 3)])
     def test_log_path_matches_direct_product(self, n, c, k, s):
         theta_hi = 0.8 * c * n
@@ -362,6 +362,9 @@ class TestMonteCarloE:
             n, total = len(xs), sum(xs)
             num, den = n * sum(x * x for x in xs) - total * total, n * (n - 1)
             assert nearest(analysis._sqrt_ratio(num, den), Fraction(num, den)), xs
+        # num at least 2^109 times den: the root is scaled down, not up
+        for root, den in ((2**55, 7), (3**40, 1), (10**20 + 1, 12345), (2**200 + 1, 3)):
+            assert analysis._sqrt_ratio(root * root * den, den) == float(root)
         g = gen_c4_free_process(40, 78, 1)
         _, i_set = alpha_with_witness(g)
         for k, seed in ((2, 0), (5, 1), (9, 5)):
@@ -542,6 +545,59 @@ class TestMonteCarloSplit:
         assert len(forks) == 2 and helper_pids() == forks[1:] and len(here) == 301
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
+
+    def test_a_helper_dead_before_its_job_is_written_is_replaced(self, split, monkeypatch):
+        g, i_set, sched = c4free_case(*CLEAN_CASE)
+        want = [ref_monte_carlo_e(g, i_set, sched, 601, seed) for seed in (5, 6)]
+        forks, here = split(2)
+        start = analysis._start_helpers
+
+        def start_then_kill(count):
+            helpers = start(count)
+            for pid, _, _ in helpers:
+                os.kill(pid, signal.SIGKILL)
+                wait_dead(pid)
+            return helpers
+
+        monkeypatch.setattr(analysis, "_start_helpers", start_then_kill)
+        # the job write meets a broken pipe: the helper is reaped and its range rerun here
+        assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want[0]
+        assert len(here) == 601 and helper_pids() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        monkeypatch.setattr(analysis, "_start_helpers", start)
+        here.clear()
+        assert monte_carlo_e(g, i_set, sched, 601, 6).samples == want[1]
+        assert len(forks) == 2 and helper_pids() == forks[1:] and len(here) == 301
+        analysis._stop_helpers()
+        assert helper_pids() == []
+        assert_no_child_left()
+
+    def test_a_helper_dead_with_a_job_in_flight_is_replaced(self, split, monkeypatch):
+        g, i_set, sched = c4free_case(*CLEAN_CASE)
+        want = [ref_monte_carlo_e(g, i_set, sched, 601, seed) for seed in (5, 6)]
+        forks, here = split(2)
+        trials, owner = analysis._trials, os.getpid()
+
+        def die_in_a_helper(*args):
+            if os.getpid() != owner:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return trials(*args)
+
+        # patched before the fork, so the helper runs it
+        monkeypatch.setattr(analysis, "_trials", die_in_a_helper)
+        # the reply read meets end of file: the helper is reaped and its range rerun here
+        assert monte_carlo_e(g, i_set, sched, 601, 5).samples == want[0]
+        assert len(here) == 601 and helper_pids() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        monkeypatch.setattr(analysis, "_trials", trials)
+        here.clear()
+        assert monte_carlo_e(g, i_set, sched, 601, 6).samples == want[1]
+        assert len(forks) == 2 and helper_pids() == forks[1:] and len(here) == 301
+        analysis._stop_helpers()
+        assert helper_pids() == []
+        assert_no_child_left()
 
     def test_sigint_leaves_an_idle_helper_silent_and_alive(self, split, capfd):
         g, i_set, sched = c4free_case(*CLEAN_CASE)

@@ -115,6 +115,24 @@ class TestTopLevel:
         assert first == b"alpha: 8\n"
         assert (proc.returncode, err) == (1, b"error:output: stdout was closed before the output was written\n")
 
+    def test_readme_cli_tour(self, capsys, tmp_path, monkeypatch):
+        # the `hitlab ...` lines of README's CLI tour, in order, print what it says
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        tour = readme.split("\n## CLI tour\n", 1)[1].split("\n## ", 1)[0]
+        runs = [line.split("#")[0].split()[1:] for line in tour.splitlines() if line.startswith("hitlab ")]
+        assert [argv[0] for argv in runs] == ["gen", "hit", "hit", "verify", "verify", "minhit"]
+        monkeypatch.chdir(tmp_path)
+        (gen, _, _), (hit, cert, _), (hit_out, _, _), verify_cert, verify_set, minhit = [
+            cli(capsys, *argv) for argv in runs
+        ]
+        assert (gen, hit, hit_out) == (0, 0, 0)
+        for line in ("mode: sampled-core", "n: 5", "seed: 7", "T: 0 2 3 4", "size_accounting: 2 0 2"):
+            assert line in cert.splitlines()
+        assert verify_cert == (0, "verified: true (every maximum independent set hit)\n", "")
+        code, out, _ = verify_set
+        assert code == 4 and out.startswith("missed: ")
+        assert minhit == (0, "3\nwitness: 0 1 2\n", "")
+
     def test_one_parser_serves_every_call(self, capsys, c5_path, tmp_path):
         # a flag given to one call must not leak into the next
         cert = str(tmp_path / "c5.cert")
@@ -770,6 +788,8 @@ def _cert_with(key, value):
          {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "bins": [["1", "2"]]}'}),
         (["experiment", "--config", "{dir}/x.json"],
          {"x.json": SWEEP_CONFIG % ('{"mode": "explicit", "bins": [[1, 1%s]]}' % ("0" * 400))}),
+        (["experiment", "--config", "{dir}/x.json"],
+         {"x.json": '{"families": [{"kind": "path"}], "n_values": [6], "seeds": [1%s]}' % ("0" * 5000)}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"mode": "foo"}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": SWEEP_CONFIG % '{"mode": "explicit", "bins": [[1]]}'}),
         (["experiment", "--config", "{dir}/x.json"], {"x.json": '{"caps": {"minhit": 10}}'}),
@@ -803,7 +823,8 @@ def _cert_with(key, value):
         "schedule-s-fractional", "cluster-q-fractional", "cluster-sizes-fractional", "seeds-string", "n-values-string",
         "cluster-q-string", "cap-string", "seeds-underscored-string", "cluster-sizes-string",
         "gnp-p-boolean", "c4free-m-frac-string", "schedule-delta-string", "schedule-bins-strings",
-        "schedule-bins-past-the-float-range", "schedule-mode-unknown", "schedule-bins-malformed", "caps-key-unknown",
+        "schedule-bins-past-the-float-range", "seeds-past-the-digit-limit", "schedule-mode-unknown",
+        "schedule-bins-malformed", "caps-key-unknown",
         "schedule-not-object", "hit-theta-not-numeric", "schedule-s-above-t", "drc-empty-graph",
         "drc-beta-underflow", "dimacs-short-problem-line",
         "hit-tiny-delta", "mc-e-tiny-delta", "schedule-tiny-delta", "edge-list-huge-n", "dimacs-huge-n",

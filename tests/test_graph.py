@@ -94,6 +94,8 @@ class TestGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(PreconditionError):
             Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(PreconditionError, match="negative vertex count -1"):
+            Graph.from_edges(-1, [])
 
     def test_degrees_and_edges(self):
         g = gen_path(4)

@@ -575,6 +575,8 @@ class TestCertificateText:
         assert certificate_from_text(text) == cert
         # serialization is canonical
         assert certificate_to_text(certificate_from_text(text)) == text
+        # blank lines between the keys are skipped
+        assert certificate_from_text(text.replace("\n", "\n\n  \n")) == cert
 
     def test_low_degree_round_trip(self, c5):
         cert = closed_neighborhood_hitting(c5, 2, seed=3)

@@ -117,6 +117,14 @@ def test_load_and_save_auto_detect(tmp_path):
     assert load_graph(str(el)) == g
     assert load_graph(str(dm)) == g
     assert load_graph(str(dm), fmt="dimacs") == g
+    # the sniffer skips leading blank lines, and an empty file reads as an edge list
+    padded = tmp_path / "padded.col"
+    padded.write_text("\n  \n" + dm.read_text())
+    assert load_graph(str(padded)) == g
+    empty = tmp_path / "empty.el"
+    empty.write_text("")
+    with pytest.raises(GraphFormatError, match="empty input"):
+        load_graph(str(empty))
     with pytest.raises(GraphFormatError, match="no such file"):
         load_graph(str(tmp_path / "absent.el"))
     with pytest.raises(GraphFormatError, match="unknown format"):
